@@ -50,9 +50,17 @@ def _decode_config(vec):
     if vec is None:
         raise DataError("weights file has no embedded network config; "
                         "was it written by the train command?")
+    if vec.shape != (7,) or not np.isfinite(vec).all():
+        raise DataError(f"malformed {_CONFIG_KEY} of shape {vec.shape}: "
+                        "expected 7 finite values")
     if int(vec[0]) != 1:
         raise DataError(f"unknown config encoding version {int(vec[0])}")
+    if int(vec[3]) not in (0, 1):
+        raise DataError(f"unknown profile id {int(vec[3])} in {_CONFIG_KEY}")
     ratios = tuple(r for r in (16, 8, 4) if int(vec[4]) & _RATIO_BITS[r])
+    if not ratios:
+        raise DataError(f"supervision mask {int(vec[4])} in {_CONFIG_KEY} "
+                        "names no known ratio")
     profile = ("mini", "full")[int(vec[3])]
     cfg = _PROFILES[profile](int(vec[1]), int(vec[2]),
                              supervision_ratios=ratios,

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DataError
 
 IGNORE_INDEX = 255
+_PNM_FIELD_DIGITS = 9  # longest header number read; larger is corrupt
 
 
 @dataclass
@@ -46,10 +47,10 @@ def _read_pnm_header(f, magic, path):
             while ch not in (b"\n", b""):
                 ch = f.read(1)
             continue
-        while ch and not ch.isspace():
+        while ch and not ch.isspace() and len(tok) <= _PNM_FIELD_DIGITS:
             tok += ch
             ch = f.read(1)
-        if not tok.isdigit():
+        if not tok.isdigit() or len(tok) > _PNM_FIELD_DIGITS:
             raise DataError(f"{path}: malformed header near {tok!r}")
         fields.append(int(tok))
     return fields  # width, height, maxval
@@ -60,10 +61,18 @@ def _read_pnm(path, magic, channels):
         w, h, maxval = _read_pnm_header(f, magic, path)
         if maxval != 255:
             raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
-        raw = f.read(w * h * channels)
-    if len(raw) != w * h * channels:
+        if w < 1 or h < 1:
+            raise DataError(f"{path}: bad image size {w}x{h}")
+        # bound the read by the file, so a corrupt size allocates nothing
+        n_bytes = w * h * channels
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if n_bytes > left:
+            raise DataError(f"{path}: truncated pixel data "
+                            f"({left} of {n_bytes} bytes)")
+        raw = f.read(n_bytes)
+    if len(raw) != n_bytes:
         raise DataError(f"{path}: truncated pixel data "
-                        f"({len(raw)} of {w * h * channels} bytes)")
+                        f"({len(raw)} of {n_bytes} bytes)")
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, channels)
 
 

@@ -1,10 +1,14 @@
 """Composite layers the encoders and decoder units are assembled from.
 
 Everything follows the pre-activation convention: each weight layer sees
-BN -> ReLU of its input. Blocks expose ``params()`` (trainable tensors)
-and ``buffers()`` (named running statistics) so containers can be walked
-without central bookkeeping; parameter names are dotted paths rooted at
-the owning network.
+BN -> ReLU of its input. Every layer and container derives from
+:class:`Module`, whose ``params()`` (trainable tensors) and ``buffers()``
+(named running statistics) come from one walk over the instance
+attributes in assignment order, descending into sub-modules, lists and
+tuples but not into dicts. Construction order is therefore parameter
+order; a container that needs another order, or keeps layers in a dict,
+lists them explicitly (as ``StackedNet.param_groups`` does). Parameter
+names are dotted paths rooted at the owning network.
 """
 from __future__ import annotations
 
@@ -36,7 +40,36 @@ def avg_pool_half(x):
     return bilinear_resize(x, h // 2, w // 2)
 
 
-class ConvLayer:
+def _collect(obj, params, buffers):
+    """Append the Params and BN buffers under a module, list or tuple."""
+    items = obj if isinstance(obj, (list, tuple)) else vars(obj).values()
+    for value in items:
+        if isinstance(value, Param):
+            params.append(value)
+        elif isinstance(value, (Module, list, tuple)):
+            _collect(value, params, buffers)
+    if isinstance(obj, BatchNormLayer):
+        # read at call time: batch_norm rebinds the running arrays
+        buffers += [(f"{obj.name}.running_mean", obj.state.mean),
+                    (f"{obj.name}.running_var", obj.state.var)]
+
+
+class Module:
+    """Base class: parameters and buffers found by walking attributes."""
+
+    def _walk(self):
+        params, buffers = [], []
+        _collect(self, params, buffers)
+        return params, buffers
+
+    def params(self):
+        return self._walk()[0]
+
+    def buffers(self):
+        return self._walk()[1]
+
+
+class ConvLayer(Module):
     """Bare convolution; pad defaults to size-preserving for odd kernels."""
 
     def __init__(self, name, in_c, out_c, kernel, rng, stride=1, pad=None,
@@ -57,14 +90,8 @@ class ConvLayer:
         return conv2d(x, self.w.as_tensor(), b, stride=self.stride,
                       pad=self.pad, dilation=self.dilation)
 
-    def params(self):
-        return [self.w] if self.b is None else [self.w, self.b]
 
-    def buffers(self):
-        return []
-
-
-class BatchNormLayer:
+class BatchNormLayer(Module):
     def __init__(self, name, channels, eps=1e-5, momentum=0.9):
         self.name = name
         self.eps, self.momentum = eps, momentum
@@ -78,15 +105,8 @@ class BatchNormLayer:
         return batch_norm(x, self.gamma.as_tensor(), self.beta.as_tensor(),
                           self.state, training, self.eps, self.momentum)
 
-    def params(self):
-        return [self.gamma, self.beta]
 
-    def buffers(self):
-        return [(f"{self.name}.running_mean", self.state.mean),
-                (f"{self.name}.running_var", self.state.var)]
-
-
-class BnActConv:
+class BnActConv(Module):
     """BN -> ReLU -> conv, with optional dropout on the conv output."""
 
     def __init__(self, name, in_c, out_c, kernel, rng, stride=1, pad=None,
@@ -100,14 +120,8 @@ class BnActConv:
         h = self.conv(relu(self.bn(x, training)))
         return dropout(h, self.keep_prob, training, rng)
 
-    def params(self):
-        return self.bn.params() + self.conv.params()
 
-    def buffers(self):
-        return self.bn.buffers()
-
-
-class UpsampleLayer:
+class UpsampleLayer(Module):
     """BN -> ReLU -> 4x4 stride-2 transposed conv; doubles height/width."""
 
     def __init__(self, name, in_c, out_c, rng, kernel=4, stride=2, pad=1):
@@ -121,14 +135,8 @@ class UpsampleLayer:
         return deconv2d(relu(self.bn(x, training)), self.w.as_tensor(),
                         stride=self.stride, pad=self.pad)
 
-    def params(self):
-        return self.bn.params() + [self.w]
 
-    def buffers(self):
-        return self.bn.buffers()
-
-
-class DenseBlock:
+class DenseBlock(Module):
     """Stack of layers that each concatenate ``growth`` new channels.
 
     Bottlenecked layers squeeze to 4*growth with a 1x1 conv before the
@@ -167,14 +175,8 @@ class DenseBlock:
             x = concat_channels([x, h])
         return x
 
-    def params(self):
-        return [p for steps in self.layers for s in steps for p in s.params()]
 
-    def buffers(self):
-        return [b for steps in self.layers for s in steps for b in s.buffers()]
-
-
-class TransitionDown:
+class TransitionDown(Module):
     """Between-stage compression: BN-ReLU-1x1 conv, then optional 2x2 mean
     pool (stages that dilate instead keep their resolution)."""
 
@@ -185,9 +187,3 @@ class TransitionDown:
     def __call__(self, x, training=False, rng=None):
         h = self.proj(x, training, rng)
         return avg_pool_half(h) if self.pool else h
-
-    def params(self):
-        return self.proj.params()
-
-    def buffers(self):
-        return self.proj.buffers()

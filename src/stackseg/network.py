@@ -23,7 +23,7 @@ import numpy as np
 from .data import pad_to_multiple
 from .errors import ConfigError, DataError, UsageError
 from .layers import BatchNormLayer, BnActConv, ConvLayer, DenseBlock, \
-    TransitionDown, UpsampleLayer
+    Module, TransitionDown, UpsampleLayer
 from .ops import bilinear_resize, concat_channels, eltwise_add, maxpool2d, \
     relu, resize_bilinear_array, softmax_ce_loss, softmax_probs
 from .tensor import Tensor
@@ -117,7 +117,7 @@ def full_config(num_classes, num_units=1, **overrides):
     return NetworkConfig(**base)
 
 
-class DenseEncoder:
+class DenseEncoder(Module):
     """Densely connected feature extractor ending at 1/16 resolution.
 
     The stem halves twice (conv stride 2, then max pool); transitions
@@ -133,8 +133,7 @@ class DenseEncoder:
                               stride=2)
         self.stem_bn = BatchNormLayer(f"{name}.stem_bn", c)
         self.stem_pool = cfg.stem_pool
-        self.blocks = []
-        self.transitions = []
+        self.stages = []  # (dense block, transition or None)
         self.skip_channels = {}
         n_stages = len(cfg.block_layers)
         for i, depth in enumerate(cfg.block_layers):
@@ -142,18 +141,18 @@ class DenseEncoder:
             block = DenseBlock(f"{name}.block{i + 1}", c, depth, cfg.growth,
                                rng, bottleneck=cfg.bottleneck,
                                dilation=2 if last else 1)
-            self.blocks.append(block)
             c = block.out_channels
             if i == 0:
                 self.skip_channels[4] = c
             elif i == 1:
                 self.skip_channels[8] = c
+            trans = None
             if not last:
                 out = int(c * cfg.compression)
-                self.transitions.append(
-                    TransitionDown(f"{name}.trans{i + 1}", c, out, rng,
-                                   pool=i < 2))
+                trans = TransitionDown(f"{name}.trans{i + 1}", c, out, rng,
+                                       pool=i < 2)
                 c = out
+            self.stages.append((block, trans))
         self.final_bn = BatchNormLayer(f"{name}.final_bn", c)
         self.out_channels = c
 
@@ -163,34 +162,18 @@ class DenseEncoder:
         h = maxpool2d(h, kernel=self.stem_pool, stride=2,
                       pad=1 if self.stem_pool == 3 else 0)
         skips = {}
-        for i, block in enumerate(self.blocks):
+        for i, (block, trans) in enumerate(self.stages):
             h = block(h, training, rng)
             if i == 0:
                 skips[4] = h
             elif i == 1:
                 skips[8] = h
-            if i < len(self.transitions):
-                h = self.transitions[i](h, training, rng)
+            if trans is not None:
+                h = trans(h, training, rng)
         return relu(self.final_bn(h, training)), skips
 
-    def params(self):
-        out = self.stem.params() + self.stem_bn.params()
-        for block, trans in zip(self.blocks, self.transitions + [None]):
-            out += block.params()
-            if trans is not None:
-                out += trans.params()
-        return out + self.final_bn.params()
 
-    def buffers(self):
-        out = self.stem_bn.buffers()
-        for block, trans in zip(self.blocks, self.transitions + [None]):
-            out += block.buffers()
-            if trans is not None:
-                out += trans.buffers()
-        return out + self.final_bn.buffers()
-
-
-class DownStage:
+class DownStage(Module):
     """Halve resolution by max pooling, merge the same-scale lateral skip,
     grow dense features, compress to the stage width."""
 
@@ -208,14 +191,8 @@ class DownStage:
         h = self.block(h, training, rng)
         return self.comp(h, training, rng)
 
-    def params(self):
-        return self.block.params() + self.comp.params()
 
-    def buffers(self):
-        return self.block.buffers() + self.comp.buffers()
-
-
-class UpStage:
+class UpStage(Module):
     """Double resolution with a width-preserving transposed conv, merge
     the encoder skip projection, grow dense features, and compress;
     the last unit's final stage skips compression and stays wide."""
@@ -240,16 +217,8 @@ class UpStage:
             h = self.comp(h, training, rng)
         return h
 
-    def params(self):
-        out = self.up.params() + self.block.params()
-        return out + (self.comp.params() if self.comp else [])
 
-    def buffers(self):
-        out = self.up.buffers() + self.block.buffers()
-        return out + (self.comp.buffers() if self.comp else [])
-
-
-class StackUnit:
+class StackUnit(Module):
     """One hourglass pass. The first unit rides the encoder down, so it
     has no down stages of its own; later units pool twice before their up
     stages. Stage widths are shared across units, which is what lets the
@@ -272,20 +241,6 @@ class StackUnit:
         self.up2 = UpStage(f"{name}.up2", cfg.up_widths[0], cfg.skip_width,
                            cfg.up_layers[1], cfg.growth,
                            None if last else cfg.up_widths[1], rng, kp)
-
-    def params(self):
-        out = []
-        for stage in (self.down1, self.down2, self.up1, self.up2):
-            if stage is not None:
-                out += stage.params()
-        return out
-
-    def buffers(self):
-        out = []
-        for stage in (self.down1, self.down2, self.up1, self.up2):
-            if stage is not None:
-                out += stage.buffers()
-        return out
 
 
 class StackedNet:
@@ -334,10 +289,8 @@ class StackedNet:
         return [p for group in self.param_groups().values() for p in group]
 
     def buffers(self):
-        out = self.encoder.buffers() + self.skip4.buffers() + self.skip8.buffers()
-        for unit in self.units:
-            out += unit.buffers()
-        return out
+        return [b for m in (self.encoder, self.skip4, self.skip8, *self.units)
+                for b in m.buffers()]
 
     def state_dict(self):
         state = {p.name: p.value for p in self.params()}
@@ -346,8 +299,7 @@ class StackedNet:
 
     def load_state(self, state):
         """Copy values in place; names and shapes must match exactly."""
-        own = {p.name: p.value for p in self.params()}
-        own.update(dict(self.buffers()))
+        own = self.state_dict()
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))
         if missing or extra:

@@ -7,6 +7,8 @@ so identical states produce identical files.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -34,33 +36,47 @@ def save_weights(path, state):
             f.write(value.tobytes())
 
 
-def _read_exactly(f, n, path, what):
+def _read_exactly(f, n, left, path, what):
+    """Read n bytes, first checking n against the bytes left in the file
+    so a corrupt length fails before anything that size is allocated."""
+    if n > left:
+        raise DataError(f"{path}: truncated while reading {what} "
+                        f"({n} bytes declared, {left} left)")
     raw = f.read(n)
     if len(raw) != n:
         raise DataError(f"{path}: truncated while reading {what}")
-    return raw
+    return raw, left - n
 
 
 def load_weights(path):
     """Read a container back into a name -> float32 ndarray dict."""
     state = {}
     with open(path, "rb") as f:
-        magic = f.read(4)
+        left = os.fstat(f.fileno()).st_size
+        magic, left = f.read(4), left - 4
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        version, count = struct.unpack("<II", _read_exactly(f, 8, path, "header"))
+        raw, left = _read_exactly(f, 8, left, path, "header")
+        version, count = struct.unpack("<II", raw)
         if version != VERSION:
             raise DataError(f"{path}: unsupported version {version}")
         for i in range(count):
-            (name_len,) = struct.unpack("<I", _read_exactly(f, 4, path, "name length"))
-            name = _read_exactly(f, name_len, path, "name").decode("utf-8")
+            raw, left = _read_exactly(f, 4, left, path, "name length")
+            (name_len,) = struct.unpack("<I", raw)
+            raw, left = _read_exactly(f, name_len, left, path, "name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: tensor {i} name is not UTF-8")
             if name in state:
                 raise DataError(f"{path}: duplicate tensor {name!r}")
-            (rank,) = struct.unpack("<I", _read_exactly(f, 4, path, "rank"))
-            dims = struct.unpack(f"<{rank}I",
-                                 _read_exactly(f, 4 * rank, path, "dims"))
-            n_bytes = 4 * int(np.prod(dims, dtype=np.int64)) if rank else 4
-            raw = _read_exactly(f, n_bytes, path, f"payload of {name!r}")
+            raw, left = _read_exactly(f, 4, left, path, "rank")
+            (rank,) = struct.unpack("<I", raw)
+            raw, left = _read_exactly(f, 4 * rank, left, path, "dims")
+            dims = struct.unpack(f"<{rank}I", raw)
+            n_bytes = 4 * math.prod(dims)  # Python ints: cannot overflow
+            raw, left = _read_exactly(f, n_bytes, left, path,
+                                      f"payload of {name!r}")
             state[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
         if f.read(1):
             raise DataError(f"{path}: trailing bytes after {count} tensors")

@@ -1,5 +1,6 @@
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import stackseg
 from stackseg import cli
 from stackseg.data import load_samples, read_pgm
+from stackseg.weights_io import MAGIC, VERSION, save_weights
 
 
 def run(argv):
@@ -116,6 +118,45 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert run(["infer", "--weights", str(junk), "--data", str(manifest),
                 "--out", str(tmp_path / "p")]) == 1
     assert "bad magic" in capsys.readouterr().err
+
+
+def _infer_fails_cleanly(tmp_path, capsys, weights):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("a.ppm\n")
+    assert run(["infer", "--weights", str(weights), "--data", str(manifest),
+                "--out", str(tmp_path / "p")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_infer_rejects_corrupt_tensor_header(tmp_path, capsys):
+    # one tensor whose dims declare 2**96 float32 values
+    entry = struct.pack("<I", 1) + b"w" + struct.pack("<4I", 3, *[0xFFFFFFFF] * 3)
+    weights = tmp_path / "huge.sdnw"
+    weights.write_bytes(MAGIC + struct.pack("<II", VERSION, 1) + entry)
+    _infer_fails_cleanly(tmp_path, capsys, weights)
+
+
+@pytest.mark.parametrize("vec", [
+    [1, 3, 1, 5, 1, 1, 0.8],     # profile id outside {0: mini, 1: full}
+    [1, 3],                      # wrong length
+    1.0,                         # scalar
+    [1, 3, 1, 0, 0, 1, 0.8],     # supervision mask with no ratio bit
+    [1, 3, 1, 0, 1, 1, np.nan],  # non-finite
+], ids=["profile_id", "length_2", "scalar", "empty_mask", "nan"])
+def test_infer_rejects_malformed_config(tmp_path, capsys, vec):
+    weights = tmp_path / "bad_config.sdnw"
+    save_weights(weights, {"meta.config": np.array(vec, dtype=np.float32)})
+    _infer_fails_cleanly(tmp_path, capsys, weights)
+
+
+def test_eval_rejects_corrupt_prediction_map(workspace, tmp_path, capsys):
+    preds = tmp_path / "p"
+    preds.mkdir()
+    (preds / "synth0000_pred.pgm").write_bytes(
+        b"P5\n100000 100000\n255\n" + bytes(10))
+    assert run(["eval", "--data", str(workspace / "data" / "manifest.txt"),
+                "--pred", str(preds)]) == 1
+    assert "truncated pixel data" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -72,6 +74,25 @@ def test_pnm_error_cases(tmp_path, blob, hint):
     path.write_bytes(blob)
     with pytest.raises(DataError, match=hint):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("blob, hint", [
+    (b"P5\n100000 100000\n255\n" + bytes(10), "truncated"),  # 10 GB declared
+    (b"P5\n" + b"9" * 40 + b" 2\n255\n" + bytes(10), "malformed"),
+    (b"P5\n" + b"9" * 5000 + b" 2\n255\n" + bytes(10), "malformed"),
+    (b"P5\n0 2\n255\n", "size"),
+], ids=["huge_size", "40_digit_width", "5000_digit_width", "zero_width"])
+def test_pnm_size_bounded_by_file(tmp_path, blob, hint):
+    path = tmp_path / "corrupt.pgm"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=hint):
+            read_pgm(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,34 @@ def test_training_forward_updates_running_stats():
     assert not np.allclose(net.encoder.stem_bn.state.mean, before)
 
 
+def _section_order(names):
+    """Second dotted component of each name, consecutive repeats merged."""
+    order = []
+    for name in names:
+        part = name.split(".")[1]
+        if not order or order[-1] != part:
+            order.append(part)
+    return order
+
+
+def test_encoder_walk_follows_construction_order():
+    encoder = StackedNet(mini_config(3), seed=0).encoder
+    stages = ["block1", "trans1", "block2", "trans2", "block3", "final_bn"]
+    assert _section_order(p.name for p in encoder.params()) == \
+        ["stem", "stem_bn"] + stages
+    assert _section_order(n for n, _ in encoder.buffers()) == \
+        ["stem_bn"] + stages
+
+
+def test_buffers_read_running_stats_after_training_forward():
+    # batch_norm rebinds the running arrays, so buffers must be read live
+    net = StackedNet(mini_config(3), seed=0)
+    net.forward(small_input(), training=True, rng=np.random.default_rng(0))
+    state = net.encoder.stem_bn.state
+    assert dict(net.buffers())["encoder.stem_bn.running_mean"] is state.mean
+    assert net.state_dict()["encoder.stem_bn.running_var"] is state.var
+
+
 def test_predict_shape_and_determinism():
     net = StackedNet(mini_config(3, num_units=2), seed=0)
     x = small_input(n=2)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,3 +93,44 @@ def test_empty_state_round_trips(tmp_path):
     path = tmp_path / "empty.sdnw"
     save_weights(path, {})
     assert load_weights(path) == {}
+
+
+def _entry_header(name=b"w", dims=(1,), name_len=None, rank=None):
+    """One tensor's header: name length, name, rank, dims (no payload)."""
+    name_len = len(name) if name_len is None else name_len
+    rank = len(dims) if rank is None else rank
+    return (struct.pack("<I", name_len) + name + struct.pack("<I", rank)
+            + struct.pack(f"<{len(dims)}I", *dims))
+
+
+def _container(entry):
+    return MAGIC + struct.pack("<II", VERSION, 1) + entry
+
+
+@pytest.mark.parametrize("entry, hint", [
+    # 2**96 float32 values: the byte count overflows any fixed-width int
+    (_entry_header(dims=(0xFFFFFFFF,) * 3) + bytes(8), "payload"),
+    # a 4 GiB payload declared in a file of a few dozen bytes
+    (_entry_header(dims=(1 << 30,)) + bytes(16), "payload"),
+    (_entry_header(name_len=0xFFFFFFFF), "name"),
+    (_entry_header(rank=0xFFFFFFFF), "dims"),
+], ids=["dims_overflow", "payload_4gib", "name_length", "rank"])
+def test_corrupt_lengths_rejected_before_allocation(tmp_path, entry, hint):
+    path = tmp_path / "corrupt.sdnw"
+    path.write_bytes(_container(entry))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=f"truncated while reading {hint}"):
+            load_weights(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_name_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "latin1.sdnw"
+    path.write_bytes(_container(_entry_header(name=b"\xff\xfe")
+                                + struct.pack("<f", 1.0)))
+    with pytest.raises(DataError, match="UTF-8"):
+        load_weights(path)
