@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -112,9 +113,27 @@ def cmd_train(args):
     return 0
 
 
+def _check_config_against_tensors(cfg, state):
+    """Reject a config that the stored tensors contradict, before the
+    network it describes is allocated."""
+    units = {name.split(".", 1)[0] for name in state if name.startswith("unit")}
+    # the length test first: the expected set is only built at a size the
+    # file itself bounds
+    if len(units) != cfg.num_units or \
+            units != {f"unit{i + 1}" for i in range(cfg.num_units)}:
+        raise DataError(f"{_CONFIG_KEY} says {cfg.num_units} units but the "
+                        f"tensors name {len(units)} unit prefixes")
+    widths = {v.shape[0] for name, v in state.items()
+              if v.ndim and re.fullmatch(r"unit\d+\.head\d+\.w", name)}
+    if widths != {cfg.num_classes}:
+        raise DataError(f"{_CONFIG_KEY} says {cfg.num_classes} classes but "
+                        f"the score heads have {sorted(widths)[:3]} outputs")
+
+
 def _load_net(path):
     state = load_weights(path)
     cfg, profile = _decode_config(state.pop(_CONFIG_KEY, None))
+    _check_config_against_tensors(cfg, state)
     net = StackedNet(cfg, seed=0)
     net.load_state(state)
     return net, cfg, profile

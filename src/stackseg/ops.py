@@ -1,8 +1,8 @@
 """Primitive differentiable operations on rank-4 tensors.
 
 Convolution and its transpose are lowered to patch matrices (im2col) and
-batched GEMMs; :mod:`stackseg.reference` keeps direct-loop versions of
-both as independent oracles. All ops follow the dtype of their inputs, so
+batched GEMMs; ``tests/reference.py`` keeps direct-loop versions of both
+as independent oracles. All ops follow the dtype of their inputs, so
 the same code runs in float32 for training and float64 for gradient
 checks.
 
@@ -110,11 +110,25 @@ def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
         out += b.data.reshape(1, co, 1, 1)
         parents.append(b)
 
+    # With stride 1 the input gradient is a correlation of g, padded by
+    # d*(k-1) - p, with the flipped kernel (Dumoulin & Visin 2016): im2col
+    # over co*k*k rows instead of col2im over ci*k*k, and dense growth
+    # layers have co << ci. A negative pad would crop, so that case and
+    # strided convs scatter through col2im.
+    qh, qw = dh * (kh - 1) - ph, dw * (kw - 1) - pw
+    via_gcols = sh == 1 and sw == 1 and qh >= 0 and qw >= 0
+
     def backward_fn(g):
         g_mat = g.reshape(n, co, oh * ow)
         gw = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
-        gcols = np.matmul(w_mat.T, g_mat)
-        gx = _col2im(gcols, x.data.shape, kh, kw, sh, sw, ph, pw, dh, dw, oh, ow)
+        if via_gcols:
+            w_flip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
+            gcols = _im2col(g, kh, kw, 1, 1, qh, qw, dh, dw, h, iw)
+            gx = np.matmul(w_flip, gcols).reshape(x.data.shape)
+        else:
+            gcols = np.matmul(w_mat.T, g_mat)
+            gx = _col2im(gcols, x.data.shape, kh, kw, sh, sw, ph, pw, dh, dw,
+                         oh, ow)
         if len(parents) == 3:
             return gx, gw, g.sum(axis=(0, 2, 3))
         return gx, gw
@@ -191,14 +205,13 @@ def maxpool2d(x, kernel=2, stride=None, pad=0):
         .reshape(n, c, oh, ow)
 
     def backward_fn(g):
-        pos = np.arange(oh * ow)
-        in_y = (pos // ow) * sh - ph + idx // kw
-        in_x = (pos % ow) * sw - pw + idx % kw
-        base = (np.arange(n)[:, None, None] * c + np.arange(c)[None, :, None]) * (h * iw)
-        flat = base + in_y * iw + in_x
-        gx = np.zeros(n * c * h * iw, dtype=g.dtype)
-        np.add.at(gx, flat.ravel(), g.ravel())
-        return (gx.reshape(x.data.shape),)
+        # one strided add per window tap; overlapping windows accumulate
+        tap = idx.reshape(n, c, oh, ow)
+        gx = np.zeros((n, c, h + 2 * ph, iw + 2 * pw), dtype=g.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gx[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += g * (tap == i * kw + j)
+        return (gx[:, :, ph:ph + h, pw:pw + iw],)
 
     t = Tensor(out, (x,), backward_fn, op="maxpool2d")
     t.indices = idx.reshape(n, c, oh, ow)
@@ -282,34 +295,39 @@ def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.9):
             f"batch_norm: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} "
             f"do not match {c} channels"
         )
+    cshape = (1, c, 1, 1)
     if training:
         mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        xhat = x.data - mean.reshape(cshape)
+        var = np.einsum("nchw,nchw->c", xhat, xhat) / (n * h * w)
         state.mean = (momentum * state.mean + (1.0 - momentum) * mean) \
             .astype(state.mean.dtype, copy=False)
         state.var = (momentum * state.var + (1.0 - momentum) * var) \
             .astype(state.var.dtype, copy=False)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat *= inv_std.reshape(cshape)
+        a = gamma.data * inv_std
+        out = xhat * gamma.data.reshape(cshape)
+        out += beta.data.reshape(cshape)
     else:
         mean = state.mean.astype(x.data.dtype, copy=False)
-        var = state.var.astype(x.data.dtype, copy=False)
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-    out = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+        inv_std = 1.0 / np.sqrt(state.var.astype(x.data.dtype, copy=False) + eps)
+        xhat = None  # built only if a backward pass runs
+        a = gamma.data * inv_std
+        out = x.data * a.reshape(cshape)
+        out += (beta.data - mean * a).reshape(cshape)
 
     def backward_fn(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
+        xh = xhat if training else \
+            (x.data - mean.reshape(cshape)) * inv_std.reshape(cshape)
+        dgamma = np.einsum("nchw,nchw->c", g, xh)
         dbeta = g.sum(axis=(0, 2, 3))
-        gs = g * gamma.data.reshape(1, c, 1, 1)
+        gx = g * a.reshape(cshape)
         if training:
+            # the batch statistics' own gradient, through dgamma and dbeta
             m = n * h * w
-            gx = (inv_std.reshape(1, c, 1, 1) / m) * (
-                m * gs
-                - gs.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-                - xhat * (gs * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            )
-        else:
-            gx = gs * inv_std.reshape(1, c, 1, 1)
+            gx -= (a * dbeta / m).reshape(cshape)
+            gx -= xh * (a * dgamma / m).reshape(cshape)
         return gx, dgamma, dbeta
 
     return Tensor(out, (x, gamma, beta), backward_fn, op="batch_norm")
@@ -429,12 +447,12 @@ def softmax_ce_loss(logits, labels, ignore_index=255):
 
     def backward_fn(g):
         grad = np.exp(logp)
-        np.subtract.at(grad, (np.arange(n)[:, None, None],
-                              safe,
-                              np.arange(h)[None, :, None],
-                              np.arange(w)[None, None, :]), 1.0)
+        label = safe[:, None]
+        np.put_along_axis(grad, label,
+                          np.take_along_axis(grad, label, axis=1) - 1.0, axis=1)
         grad *= valid[:, None].astype(dtype) / count
-        return (grad * g,)
+        grad *= g
+        return (grad,)
 
     return Tensor(np.asarray(loss, dtype=dtype), (logits,), backward_fn,
                   op="softmax_ce")

@@ -2,7 +2,7 @@
 
 These are deliberately naive (quadruple loops, no patch matrices) so they
 can serve as independent oracles for the GEMM-based versions in
-:mod:`stackseg.ops`. Forward only, tiny inputs only.
+:mod:`stackseg.ops`. Tiny inputs only.
 """
 from __future__ import annotations
 
@@ -86,6 +86,35 @@ def maxpool2d_forward(x, kernel=2, stride=None, pad=0):
                                 if v > out[b_i, ch, oy, ox]:
                                     out[b_i, ch, oy, ox] = v
     return out
+
+
+def maxpool2d_backward(x, g, kernel=2, stride=None, pad=0):
+    """Route each output gradient to its window's first maximum.
+
+    Windows are scanned row-major; padding counts as -inf, so it never
+    wins against a finite input.
+    """
+    kh = kw = kernel
+    sh = sw = kernel if stride is None else stride
+    n, c, h, iw = x.shape
+    _, _, oh, ow = g.shape
+    gx = np.zeros_like(x)
+    for b_i in range(n):
+        for ch in range(c):
+            for oy in range(oh):
+                for ox in range(ow):
+                    best, at = None, None
+                    for ky in range(kh):
+                        for kx in range(kw):
+                            iy = oy * sh - pad + ky
+                            ix = ox * sw - pad + kx
+                            inside = 0 <= iy < h and 0 <= ix < iw
+                            v = x[b_i, ch, iy, ix] if inside else -np.inf
+                            if best is None or v > best:
+                                best, at = v, (iy, ix) if inside else None
+                    if at is not None:
+                        gx[b_i, ch, at[0], at[1]] += g[b_i, ch, oy, ox]
+    return gx
 
 
 def bilinear_resize_forward(x, out_h, out_w):

@@ -3,6 +3,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import stackseg
 from stackseg import cli
 from stackseg.data import load_samples, read_pgm
-from stackseg.weights_io import MAGIC, VERSION, save_weights
+from stackseg.weights_io import MAGIC, VERSION, load_weights, save_weights
 
 
 def run(argv):
@@ -147,6 +148,31 @@ def test_infer_rejects_malformed_config(tmp_path, capsys, vec):
     weights = tmp_path / "bad_config.sdnw"
     save_weights(weights, {"meta.config": np.array(vec, dtype=np.float32)})
     _infer_fails_cleanly(tmp_path, capsys, weights)
+
+
+@pytest.mark.parametrize("classes,units,hint", [
+    (1e9, 1, "1000000000 classes"),  # would ask for TiBs of head weights
+    (3, 2, "2 units"),               # the tensors hold one unit
+], ids=["huge_num_classes", "wrong_num_units"])
+def test_infer_checks_config_against_tensors(workspace, tmp_path, capsys,
+                                             classes, units, hint):
+    state = load_weights(workspace / "net.sdnw")
+    state["meta.config"] = np.array([1, classes, units, 0, 1, 1, 0.8],
+                                    dtype=np.float32)
+    weights = tmp_path / "lying.sdnw"
+    save_weights(weights, state)
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("a.ppm\n")
+    tracemalloc.start()
+    try:
+        assert run(["infer", "--weights", str(weights), "--data",
+                    str(manifest), "--out", str(tmp_path / "p")]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and hint in err
+    assert peak < 1 << 20
 
 
 def test_eval_rejects_corrupt_prediction_map(workspace, tmp_path, capsys):

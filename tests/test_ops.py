@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import reference
 from stackseg import ConfigError, DataError, Tensor, backward
-from stackseg import ops, reference
+from stackseg import ops
 from stackseg.ops import (
     BnState,
     batch_norm,
@@ -230,6 +231,21 @@ def test_batch_norm_training_normalizes_and_tracks_stats():
     assert_allclose(out.data.var(axis=(0, 2, 3)), np.ones(3), atol=1e-4)
     assert_allclose(state.mean, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
     assert_allclose(state.var, 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2, 3)), rtol=1e-12)
+
+
+def test_batch_norm_running_var_is_biased_batch_var():
+    # float32 with a large mean: a one-pass E[x^2] - E[x]^2 loses ~1e-5
+    rng = np.random.default_rng(5)
+    x = (rng.standard_normal((4, 5, 6, 7)) * 3.0 + 50.0).astype(np.float32)
+    state = BnState(5)
+    state.var[:] = rng.uniform(0.5, 2.0, 5)
+    old = state.var.astype(np.float64)
+    batch_norm(Tensor(x), Tensor(np.ones(5, np.float32)),
+               Tensor(np.zeros(5, np.float32)), state, training=True,
+               momentum=0.7)
+    want = 0.7 * old + 0.3 * x.astype(np.float64).var(axis=(0, 2, 3))
+    assert state.var.dtype == np.float32
+    assert_allclose(state.var, want, rtol=1e-6)
 
 
 def test_batch_norm_inference_uses_running_stats():
