@@ -1,7 +1,7 @@
 """Stacked encoder-decoder segmentation networks on a numpy autodiff core."""
 
 from .errors import ConfigError, DataError, UsageError
-from .tensor import Param, Tensor, backward, toposort
+from .tensor import Param, Tensor, backward, no_grad, toposort
 
 __version__ = "0.1.0"
 
@@ -12,6 +12,7 @@ __all__ = [
     "Param",
     "Tensor",
     "backward",
+    "no_grad",
     "toposort",
     "__version__",
 ]

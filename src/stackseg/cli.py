@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from .analyzer import architecture_report, count_network_params, format_report
-from .data import load_samples, pad_to_multiple, read_pgm, save_dataset, \
-    synth_dataset, write_pgm
+from .data import IGNORE_INDEX, load_samples, pad_to_multiple, read_pgm, \
+    save_dataset, synth_dataset, write_pgm
 from .errors import ConfigError, DataError, DivergenceError, UsageError
 from .gradcheck import composite_check, primitive_sweep
 from .metrics import EvalAccumulator
@@ -71,12 +71,19 @@ def _decode_config(vec):
 
 
 def _num_classes(args, meta):
-    if getattr(args, "classes", None):
-        return args.classes
-    if "num_classes" in meta:
-        return int(meta["num_classes"])
-    raise DataError("number of classes unknown: pass --classes or add "
-                    "'num_classes = N' to the manifest")
+    value = getattr(args, "classes", None) or meta.get("num_classes")
+    if value is None:
+        raise DataError("number of classes unknown: pass --classes or add "
+                        "'num_classes = N' to the manifest")
+    # labels live in 8-bit PGMs with IGNORE_INDEX (255) reserved
+    try:
+        classes = int(value)
+    except ValueError:
+        classes = None
+    if classes is None or not 1 <= classes <= IGNORE_INDEX:
+        raise DataError(f"num_classes {value!r} is not an integer in "
+                        f"[1, {IGNORE_INDEX}]")
+    return classes
 
 
 def cmd_synth(args):

@@ -116,29 +116,39 @@ def write_pgm(path, labels):
 
 
 def parse_manifest(path):
-    """Returns (meta dict, [(image_path, label_path_or_None), ...])."""
+    """Returns (meta dict, [(image_path, label_path_or_None), ...]).
+
+    The file must be UTF-8 text without NUL bytes; anything else is a
+    :class:`DataError` naming the line.
+    """
     meta = {}
     rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "\t" in line:
-                parts = line.split("\t")
-                if len(parts) > 2 or not parts[0]:
-                    raise DataError(f"{path}:{lineno}: bad sample row {line!r}")
-                rows.append((parts[0], parts[1] or None))
-            elif "=" in line:
-                key, _, value = line.partition("=")
-                meta[key.strip()] = value.strip()
-            else:
-                rows.append((line, None))  # bare path = unlabeled sample
+    with open(path, "rb") as f:
+        raw = f.read()
+    for lineno, line in enumerate(raw.splitlines(), 1):
+        try:
+            line = line.decode("utf-8").strip()
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}:{lineno}: not UTF-8 text ({e.reason})")
+        if "\0" in line:
+            raise DataError(f"{path}:{lineno}: NUL byte in {line!r}")
+        if not line or line.startswith("#"):
+            continue
+        if "\t" in line:
+            parts = line.split("\t")
+            if len(parts) > 2 or not parts[0]:
+                raise DataError(f"{path}:{lineno}: bad sample row {line!r}")
+            rows.append((parts[0], parts[1] or None))
+        elif "=" in line:
+            key, _, value = line.partition("=")
+            meta[key.strip()] = value.strip()
+        else:
+            rows.append((line, None))  # bare path = unlabeled sample
     return meta, rows
 
 
 def write_manifest(path, meta, rows):
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for key, value in meta.items():
             f.write(f"{key} = {value}\n")
         for image, label in rows:

@@ -26,7 +26,7 @@ from .layers import BatchNormLayer, BnActConv, ConvLayer, DenseBlock, \
     Module, TransitionDown, UpsampleLayer
 from .ops import bilinear_resize, concat_channels, eltwise_add, maxpool2d, \
     relu, resize_bilinear_array, softmax_ce_loss, softmax_probs
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 SIZE_MULTIPLE = 16  # inputs must divide evenly down to the deepest scale
 
@@ -368,11 +368,15 @@ class StackedNet:
         return out
 
     def predict_logits(self, x):
-        """Fused final score map, upsampled to input resolution (ndarray)."""
+        """Fused final score map, upsampled to input resolution (ndarray).
+
+        Runs under :func:`no_grad`, so no graph outlives each op.
+        """
         x = np.asarray(x)
-        maps = self.forward(x, training=False)
-        final = maps[(len(self.units) - 1, 4)]
-        return bilinear_resize(final, x.shape[2], x.shape[3]).data
+        with no_grad():
+            maps = self.forward(x, training=False)
+            final = maps[(len(self.units) - 1, 4)]
+            return bilinear_resize(final, x.shape[2], x.shape[3]).data
 
     def predict(self, x):
         return np.argmax(self.predict_logits(x), axis=1)

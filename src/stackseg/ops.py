@@ -41,8 +41,14 @@ def _conv_out_size(size, k, s, p, d):
 # patch-matrix lowering
 
 def _im2col(x, kh, kw, sh, sw, ph, pw, dh, dw, oh, ow):
-    """(n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix."""
+    """(n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix.
+
+    A 1x1, stride-1, unpadded kernel's patch matrix is ``x`` itself, so
+    that case returns a reshaped view instead of a copy.
+    """
     n, c, h, w = x.shape
+    if kh == kw == 1 and sh == sw == 1 and ph == pw == 0:
+        return x.reshape(n, c, h * w)
     if ph or pw:
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)

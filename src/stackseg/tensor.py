@@ -4,12 +4,15 @@ Activations are dense numpy arrays, almost always rank-4 ``(batch,
 channels, height, width)``; losses are rank-0. Every op in
 :mod:`stackseg.ops` produces a :class:`Tensor` that remembers its parents
 and a closure computing the parents' gradients, so a forward pass leaves
-behind the DAG needed for reverse-mode differentiation. Tensors are never
-mutated after creation; :class:`Param` values are mutated only between
-optimizer steps.
+behind the DAG needed for reverse-mode differentiation. Inside a
+:func:`no_grad` block tensors keep neither, so each op's intermediates
+(im2col patches, masks) are freed as soon as it returns. Tensors are
+never mutated after creation; :class:`Param` values are mutated only
+between optimizer steps.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -17,6 +20,22 @@ import numpy as np
 from .errors import UsageError
 
 _node_counter = itertools.count()
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: new tensors get no parents and no
+    ``backward_fn``. Nests, and restores the previous state on exit,
+    also when the block raises. The state is process-wide, not per
+    thread."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -25,7 +44,8 @@ class Tensor:
     ``backward_fn`` receives the gradient w.r.t. this node and returns a
     tuple of gradients, one per parent (``None`` for non-differentiable
     parents). Leaf tensors wrapping a :class:`Param` route their gradient
-    into ``param.grad`` instead.
+    into ``param.grad`` instead. Under :func:`no_grad` both ``parents``
+    and ``backward_fn`` are dropped.
     """
 
     __slots__ = ("data", "grad", "parents", "backward_fn", "op", "param",
@@ -34,8 +54,12 @@ class Tensor:
     def __init__(self, data, parents=(), backward_fn=None, op="leaf", param=None):
         self.data = np.asarray(data)
         self.grad = None
-        self.parents = tuple(parents)
-        self.backward_fn = backward_fn
+        if _grad_enabled:
+            self.parents = tuple(parents)
+            self.backward_fn = backward_fn
+        else:
+            self.parents = ()
+            self.backward_fn = None
         self.op = op
         self.param = param
         self.node_id = next(_node_counter)
@@ -80,7 +104,8 @@ def toposort(roots):
 def backward(loss_nodes, loss_weights=None):
     """Accumulate d(sum_k w_k * loss_k)/dparam into every reachable Param.grad.
 
-    ``loss_nodes`` must be scalar tensors produced by a forward pass.
+    ``loss_nodes`` must be scalar tensors produced by a forward pass run
+    outside :func:`no_grad`.
     """
     loss_nodes = list(loss_nodes)
     if not loss_nodes:
@@ -94,6 +119,10 @@ def backward(loss_nodes, loss_weights=None):
     for node in loss_nodes:
         if node.data.ndim != 0:
             raise UsageError(f"loss node {node!r} is not a scalar")
+        if node.backward_fn is None and node.param is None \
+                and node.op != "leaf":
+            raise UsageError(f"loss node {node!r} was built under no_grad "
+                             "and has no graph to differentiate")
 
     grads = {}  # node_id -> accumulated ndarray
     for node, w in zip(loss_nodes, loss_weights):

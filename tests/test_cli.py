@@ -121,6 +121,47 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert "bad magic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "infer", "eval"])
+@pytest.mark.parametrize("blob,hint", [
+    (b"num_classes = 3\n\xff.ppm\n", ":2: not UTF-8"),
+    (b"num_classes = 3\na\x00.ppm\ta.pgm\n", ":2: NUL byte"),
+], ids=["not_utf8", "nul_in_path"])
+def test_binary_manifest_exits_1(workspace, tmp_path, capsys, command, blob,
+                                 hint):
+    manifest = tmp_path / "m.txt"
+    manifest.write_bytes(blob)
+    argv = {"train": ["--out", str(tmp_path / "w.sdnw")],
+            "infer": ["--weights", str(workspace / "net.sdnw"),
+                      "--out", str(tmp_path / "p")],
+            "eval": ["--pred", str(tmp_path / "p")]}[command]
+    assert run([command, "--data", str(manifest)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and hint in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "256", "9" * 5000],
+                         ids=["abc", "zero", "256", "5000_digits"])
+def test_bad_num_classes_exits_1(workspace, tmp_path, capsys, value):
+    data = workspace / "data"
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"num_classes = {value}\n"
+                        f"{data / 'synth0000.ppm'}\t"
+                        f"{data / 'synth0000_labels.pgm'}\n")
+    assert run(["train", "--data", str(manifest), "--out",
+                str(tmp_path / "w.sdnw"), "--iters", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "num_classes" in err
+
+
+def test_huge_classes_flag_exits_1(workspace, tmp_path, capsys):
+    # used to build 2 TiB of head weights and die with a raw MemoryError
+    assert run(["train", "--data", str(workspace / "data" / "manifest.txt"),
+                "--out", str(tmp_path / "w.sdnw"), "--classes", "1000000000",
+                "--iters", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "num_classes" in err
+
+
 def _infer_fails_cleanly(tmp_path, capsys, weights):
     manifest = tmp_path / "m.txt"
     manifest.write_text("a.ppm\n")

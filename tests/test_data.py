@@ -122,6 +122,29 @@ def test_manifest_rejects_extra_columns(tmp_path):
         parse_manifest(path)
 
 
+@pytest.mark.parametrize("blob,hint", [
+    (b"num_classes = 3\n\xff\xfe.ppm\n", ":2: not UTF-8"),
+    (b"a\x00.ppm\tb.pgm\n", ":1: NUL byte"),
+    (b"# ok\r\nb.ppm\ta\x00.pgm\n", ":2: NUL byte"),
+], ids=["not_utf8", "nul_in_image", "nul_in_label"])
+def test_manifest_rejects_binary_content(tmp_path, blob, hint):
+    path = tmp_path / "m.txt"
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match=hint):
+        parse_manifest(path)
+    with pytest.raises(DataError, match=hint):
+        load_samples(path)
+
+
+def test_manifest_line_endings_and_unicode_paths(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes("num_classes = 2\r\nbild\u00e4.ppm\tl.pgm\rc.ppm\n"
+                     .encode("utf-8"))
+    meta, rows = parse_manifest(path)
+    assert meta == {"num_classes": "2"}
+    assert rows == [("bild\u00e4.ppm", "l.pgm"), ("c.ppm", None)]
+
+
 def test_dataset_save_and_load(tmp_path):
     samples = synth_dataset(3, size=32, seed=4)
     manifest = save_dataset(tmp_path / "ds", samples, {"num_classes": "3"})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from stackseg.network import (
     mini_config,
     predict_ms_flip,
 )
+from stackseg.ops import bilinear_resize
 from stackseg.weights_io import load_weights, save_weights
 
 
@@ -156,6 +159,32 @@ def test_predict_shape_and_determinism():
     assert pred.shape == (2, 64, 64)
     assert pred.dtype.kind == "i"
     assert (pred == net.predict(x)).all()
+
+
+@pytest.mark.parametrize("units", [1, 2])
+def test_predict_logits_equals_taped_forward(units):
+    net = StackedNet(mini_config(3, num_units=units), seed=0)
+    x = small_input(n=2, seed=5)
+    final = net.forward(x)[(units - 1, 4)]
+    assert final.backward_fn is not None  # a plain forward still records
+    taped = bilinear_resize(final, 64, 64).data
+    got = net.predict_logits(x)
+    assert got.dtype == taped.dtype and np.array_equal(got, taped)
+
+
+def test_predict_logits_peak_memory_is_bounded():
+    # a taped forward keeps every activation and im2col buffer alive until
+    # the logits are out (7.5 MiB here); tape-free, each is freed early
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    x = small_input()
+    net.predict_logits(x)
+    tracemalloc.start()
+    try:
+        net.predict_logits(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_state_round_trip_through_container(tmp_path):

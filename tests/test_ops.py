@@ -61,6 +61,34 @@ def test_conv2d_matches_direct_loops(k, s, p, d):
     assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
 
 
+def test_conv2d_1x1_uses_input_as_patch_matrix():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((2, 5, 6, 7))
+    w = rng.standard_normal((3, 5, 1, 1))
+    b = rng.standard_normal(3)
+    g = rng.standard_normal((2, 3, 6, 7))
+    assert np.shares_memory(ops._im2col(x, 1, 1, 1, 1, 0, 0, 2, 2, 6, 7), x)
+    assert not np.shares_memory(ops._im2col(x, 1, 1, 2, 2, 0, 0, 1, 1, 3, 4), x)
+    assert not np.shares_memory(ops._im2col(x, 1, 1, 1, 1, 1, 1, 1, 1, 8, 9), x)
+
+    out = conv2d(Tensor(x), Tensor(w), Tensor(b))
+    assert_allclose(out.data, reference.conv2d_forward(x, w, b),
+                    rtol=1e-12, atol=1e-12)
+    gx, gw, gb = out.backward_fn(g)
+    # the input gradient is the transposed conv of g with the same kernel
+    assert_allclose(gx, reference.deconv2d_forward(g, w, stride=1, pad=0),
+                    rtol=1e-12, atol=1e-12)
+    # conv is linear in w, so gw[o, i] = <conv(x, e_oi), g>
+    want_gw = np.zeros_like(w)
+    for o in range(3):
+        for i in range(5):
+            e = np.zeros_like(w)
+            e[o, i] = 1.0
+            want_gw[o, i] = (reference.conv2d_forward(x, e) * g).sum()
+    assert_allclose(gw, want_gw, rtol=1e-12, atol=1e-12)
+    assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+
 def test_conv2d_rejects_bad_shapes():
     x = Tensor(np.zeros((1, 3, 8, 8)))
     with pytest.raises(ConfigError):

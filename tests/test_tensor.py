@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stackseg import Param, Tensor, UsageError, backward, toposort
+from stackseg import Param, Tensor, UsageError, backward, no_grad, toposort
 from stackseg.ops import eltwise_add
 
 
@@ -90,3 +90,54 @@ def test_param_flags_and_buffers():
     p.momentum_buf[0, 0] = 1.0
     assert p.momentum_buf[0, 0] == 1.0
     assert "bn.gamma" in repr(p)
+
+
+def test_no_grad_outputs_keep_no_graph():
+    x = Tensor(np.array([1.0, 2.0]))
+    with no_grad():
+        y = scale(x, 2.0)
+        z = eltwise_add(y, x)
+    for t in (y, z):
+        assert t.parents == () and t.backward_fn is None
+    assert_allclose(z.data, [3.0, 6.0])
+    recorded = scale(x, 2.0)  # recording resumes after the block
+    assert recorded.parents == (x,) and recorded.backward_fn is not None
+
+
+def records_graph():
+    return scale(Tensor(np.ones(2)), 1.0).backward_fn is not None
+
+
+def test_no_grad_nests_and_restores_state():
+    with no_grad():
+        with no_grad():
+            assert not records_graph()
+        assert not records_graph()  # the inner exit restores "off"
+    assert records_graph()
+
+
+def test_no_grad_restores_state_after_exception():
+    with pytest.raises(KeyError):
+        with no_grad():
+            raise KeyError("inside")
+    assert records_graph()
+    with no_grad():
+        with pytest.raises(KeyError):
+            with no_grad():
+                raise KeyError("nested")
+        assert not records_graph()
+    assert records_graph()
+
+
+def test_backward_rejects_loss_built_under_no_grad():
+    p = Param(np.array([1.0, 2.0]), name="w")
+    with no_grad():
+        loss = to_scalar(scale(p.as_tensor(), 3.0))
+    with pytest.raises(UsageError, match="no_grad"):
+        backward([loss])
+    assert p._grad is None
+    # leaves made under no_grad are still valid loss nodes
+    with no_grad():
+        leaf = Tensor(np.asarray(2.0))
+    backward([leaf])
+    assert_allclose(leaf.grad, 1.0)
