@@ -13,10 +13,7 @@ for one decoder-entry pixel.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -164,22 +161,3 @@ def format_report(report):
     lines.append(f"supervision_heads={len(report.heads)}")
     return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# influence footprints (which outputs can one input pixel touch)
-
-
-def influence_interval(lo, hi, kernel, stride, pad, dilation, out_size):
-    """Map an input index interval through a conv/pool to the output
-    indices whose windows overlap it. Returns (lo, hi); empty if lo > hi."""
-    span = (kernel - 1) * dilation
-    new_lo = max(0, math.ceil((lo + pad - span) / stride))
-    new_hi = min(out_size - 1, math.floor((hi + pad) / stride))
-    return new_lo, new_hi
-
-
-def spread_interval(lo, hi, kernel, stride, pad, out_size):
-    """Same, for a transposed conv: each input pixel writes a k-wide patch."""
-    new_lo = max(0, lo * stride - pad)
-    new_hi = min(out_size - 1, hi * stride - pad + kernel - 1)
-    return new_lo, new_hi

@@ -4,18 +4,16 @@ Subcommands: ``synth`` (write a synthetic dataset), ``train``, ``infer``,
 ``eval`` (score prediction maps against labels), ``analyze`` (closed-form
 architecture accounting), and ``gradcheck`` (finite-difference sweeps).
 
-Checkpoints carry the network configuration as a ``meta.config`` entry,
-so ``infer`` rebuilds the right architecture without extra flags. Usage
-errors exit 2 (argparse); data/config problems exit 1.
+A checkpoint holds only the network's tensors; their names and shapes
+say which network it is, so ``infer`` rebuilds it without extra flags.
+Usage errors exit 2 (argparse); data/config problems exit 1.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
-import re
 import sys
-
-import numpy as np
 
 from .analyzer import architecture_report, count_network_params, format_report
 from .data import IGNORE_INDEX, load_samples, pad_to_multiple, read_pgm, \
@@ -23,51 +21,26 @@ from .data import IGNORE_INDEX, load_samples, pad_to_multiple, read_pgm, \
 from .errors import ConfigError, DataError, DivergenceError, UsageError
 from .gradcheck import composite_check, primitive_sweep
 from .metrics import EvalAccumulator
-from .network import StackedNet, full_config, mini_config, predict_ms_flip
+from .network import StackedNet, config_from_state, full_config, \
+    mini_config, predict_ms_flip
 from .trainer import TrainConfig, train
 from .weights_io import load_weights, save_weights
 
 _PROFILES = {"mini": mini_config, "full": full_config}
-_RATIO_BITS = {4: 1, 8: 2, 16: 4}
-_CONFIG_KEY = "meta.config"
 
 
-def _parse_ratios(text):
+def _parse_csv(text, kind, what):
     try:
-        ratios = tuple(int(r) for r in text.split(","))
+        return tuple(kind(v) for v in text.split(","))
     except ValueError:
-        raise ConfigError(f"cannot parse supervision ratios {text!r}")
-    return ratios
+        raise ConfigError(f"cannot parse {what} {text!r}")
 
 
-def _encode_config(cfg, profile):
-    mask = sum(_RATIO_BITS[r] for r in cfg.supervision_ratios)
-    profile_id = 0 if profile == "mini" else 1
-    return np.array([1, cfg.num_classes, cfg.num_units, profile_id, mask,
-                     int(cfg.fuse_scores), cfg.keep_prob], dtype=np.float32)
-
-
-def _decode_config(vec):
-    if vec is None:
-        raise DataError("weights file has no embedded network config; "
-                        "was it written by the train command?")
-    if vec.shape != (7,) or not np.isfinite(vec).all():
-        raise DataError(f"malformed {_CONFIG_KEY} of shape {vec.shape}: "
-                        "expected 7 finite values")
-    if int(vec[0]) != 1:
-        raise DataError(f"unknown config encoding version {int(vec[0])}")
-    if int(vec[3]) not in (0, 1):
-        raise DataError(f"unknown profile id {int(vec[3])} in {_CONFIG_KEY}")
-    ratios = tuple(r for r in (16, 8, 4) if int(vec[4]) & _RATIO_BITS[r])
-    if not ratios:
-        raise DataError(f"supervision mask {int(vec[4])} in {_CONFIG_KEY} "
-                        "names no known ratio")
-    profile = ("mini", "full")[int(vec[3])]
-    cfg = _PROFILES[profile](int(vec[1]), int(vec[2]),
-                             supervision_ratios=ratios,
-                             fuse_scores=bool(int(vec[5])),
-                             keep_prob=float(vec[6]))
-    return cfg, profile
+def _parse_scales(text):
+    scales = _parse_csv(text, float, "scales")
+    if not all(math.isfinite(s) and s > 0 for s in scales):
+        raise ConfigError(f"scales {text!r} must be finite and > 0")
+    return scales
 
 
 def _num_classes(args, meta):
@@ -99,8 +72,8 @@ def cmd_synth(args):
 def cmd_train(args):
     meta, samples = load_samples(args.data)
     classes = _num_classes(args, meta)
-    cfg = _PROFILES[args.profile](
-        classes, args.units, supervision_ratios=_parse_ratios(args.supervision))
+    ratios = _parse_csv(args.supervision, int, "supervision ratios")
+    cfg = _PROFILES[args.profile](classes, args.units, supervision_ratios=ratios)
     net = StackedNet(cfg, seed=args.seed)
     tcfg = TrainConfig(base_lr=args.lr, batch_size=args.batch, crop=args.crop,
                        max_iter=args.iters, seed=args.seed,
@@ -112,50 +85,23 @@ def cmd_train(args):
     finally:
         if sink:
             sink.close()
-    state = net.state_dict()
-    state[_CONFIG_KEY] = _encode_config(cfg, args.profile)
-    save_weights(args.out, state)
+    save_weights(args.out, net.state_dict())
     print(f"final total_loss={history[-1]['total_loss']:.6g} over "
           f"{len(history)} iterations; weights -> {args.out}")
     return 0
 
 
-def _check_config_against_tensors(cfg, state):
-    """Reject a config that the stored tensors contradict, before the
-    network it describes is allocated."""
-    units = {name.split(".", 1)[0] for name in state if name.startswith("unit")}
-    # the length test first: the expected set is only built at a size the
-    # file itself bounds
-    if len(units) != cfg.num_units or \
-            units != {f"unit{i + 1}" for i in range(cfg.num_units)}:
-        raise DataError(f"{_CONFIG_KEY} says {cfg.num_units} units but the "
-                        f"tensors name {len(units)} unit prefixes")
-    widths = {v.shape[0] for name, v in state.items()
-              if v.ndim and re.fullmatch(r"unit\d+\.head\d+\.w", name)}
-    if widths != {cfg.num_classes}:
-        raise DataError(f"{_CONFIG_KEY} says {cfg.num_classes} classes but "
-                        f"the score heads have {sorted(widths)[:3]} outputs")
-
-
-def _load_net(path):
-    state = load_weights(path)
-    cfg, profile = _decode_config(state.pop(_CONFIG_KEY, None))
-    _check_config_against_tensors(cfg, state)
-    net = StackedNet(cfg, seed=0)
-    net.load_state(state)
-    return net, cfg, profile
-
-
 def cmd_infer(args):
-    net, cfg, _ = _load_net(args.weights)
+    scales = _parse_scales(args.scales) if args.ms_flip else None
+    state = load_weights(args.weights)
+    state.pop("meta.config", None)  # the config copy earlier versions wrote
+    net = StackedNet(config_from_state(state))
+    net.load_state(state)
     _, samples = load_samples(args.data)
     os.makedirs(args.out, exist_ok=True)
     for s in samples:
         if args.ms_flip:
-            pred = predict_ms_flip(net, s.image,
-                                   scales=tuple(float(v) for v in
-                                                args.scales.split(",")),
-                                   mirror=True)
+            pred = predict_ms_flip(net, s.image, scales=scales, mirror=True)
         else:
             h, w = s.image.shape[1:]
             padded, _ = pad_to_multiple(s.image)

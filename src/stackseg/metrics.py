@@ -3,9 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import IGNORE_INDEX
 from .errors import DataError, UsageError
-
-IGNORE_INDEX = 255
 
 
 class EvalAccumulator:

@@ -15,12 +15,14 @@ prediction is the last unit's fused ratio-4 map.
 """
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import pad_to_multiple
+from .analyzer import architecture_report
+from .data import IGNORE_INDEX, pad_to_multiple
 from .errors import ConfigError, DataError, UsageError
 from .layers import BatchNormLayer, BnActConv, ConvLayer, DenseBlock, \
     Module, TransitionDown, UpsampleLayer
@@ -354,7 +356,7 @@ class StackedNet:
             prev = {"entry": d, "up1": u1, "up2": u2}
         return maps
 
-    def losses(self, maps, labels, ignore_index=255):
+    def losses(self, maps, labels, ignore_index=IGNORE_INDEX):
         """(name, loss, weight) per head, upsampled to the label size."""
         labels = np.asarray(labels)
         if labels.ndim != 3:
@@ -380,6 +382,51 @@ class StackedNet:
 
     def predict(self, x):
         return np.argmax(self.predict_logits(x), axis=1)
+
+
+_HEAD_NAME = re.compile(r"unit([1-9]\d{0,8})\.head(\d{1,2})\.w")
+
+
+def config_from_state(state):
+    """The NetworkConfig whose ``state_dict()`` has these names and shapes.
+
+    The ``encoder.stem.w`` width picks the profile; the ``unitN.headR.w``
+    tensors give the units, the ratios and (first dimension) the classes.
+    All else, ``fuse_scores`` and ``keep_prob`` included, takes the profile
+    default, as ``stackseg train`` writes it. Raises DataError, before
+    anything is built, unless the config's closed-form parameter count
+    equals the number of values stored.
+    """
+    stem = state.get("encoder.stem.w")
+    width = stem.shape[0] if stem is not None and stem.ndim else None
+    make = {MINI_ENCODER.stem_channels: mini_config,
+            FULL_ENCODER.stem_channels: full_config}.get(width)
+    if make is None:
+        raise DataError(f"encoder.stem.w width {width} matches no profile")
+    heads = {}
+    for name, value in state.items():
+        m = _HEAD_NAME.fullmatch(name)
+        if m and value.ndim:
+            heads[int(m[1]), int(m[2])] = value.shape[0]
+    units = max((u for u, _ in heads), default=0)
+    ratios = tuple(sorted({r for _, r in heads}, reverse=True))
+    classes = set(heads.values())
+    # keys lie in units x ratios, so equal counts mean every unit has every
+    # ratio; this also bounds units by the number of tensors in the file
+    if len(heads) != units * len(ratios) or len(classes) != 1:
+        raise DataError("score heads missing or unlike across units")
+    try:
+        cfg = make(classes.pop(), units, supervision_ratios=ratios)
+        cfg.validate()
+    except ConfigError as e:
+        raise DataError(f"stored tensors describe no valid network: {e}")
+    stored = sum(v.size for name, v in state.items()
+                 if not name.endswith((".running_mean", ".running_var")))
+    expected = architecture_report(cfg).params_total
+    if expected != stored:
+        raise DataError(f"a {units}-unit, {cfg.num_classes}-class network "
+                        f"has {expected} parameters but {stored} are stored")
+    return cfg
 
 
 def predict_ms_flip(net, image, scales=(0.5, 0.8, 1.0, 1.2, 1.4),

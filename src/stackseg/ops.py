@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import IGNORE_INDEX
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
@@ -418,7 +419,7 @@ def softmax_probs(z):
     return np.exp(log_softmax(z))
 
 
-def softmax_ce_loss(logits, labels, ignore_index=255):
+def softmax_ce_loss(logits, labels, ignore_index=IGNORE_INDEX):
     """Mean pixel-wise cross-entropy over non-ignored pixels.
 
     Returns a scalar tensor; with every pixel ignored the loss is 0 with

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import mean_pixel, pad_to_multiple
+from .data import IGNORE_INDEX, mean_pixel, pad_to_multiple
 from .errors import ConfigError, DataError, DivergenceError
 from .metrics import EvalAccumulator
 from .ops import resize_bilinear_array, resize_nearest_labels
@@ -31,7 +31,7 @@ class TrainConfig:
     scales: tuple = (0.6, 0.8, 1.0, 1.2, 1.4)
     aspects: tuple = (0.7, 0.85, 1.0, 1.15, 1.3)
     hflip_prob: float = 0.5
-    ignore_index: int = 255
+    ignore_index: int = IGNORE_INDEX
     seed: int = 0
     log_every: int = 10
 
@@ -164,7 +164,8 @@ def train(net, samples, cfg, log_fn=None):
     return history
 
 
-def evaluate(net, samples, num_classes, ignore_index=255, fill=None):
+def evaluate(net, samples, num_classes, ignore_index=IGNORE_INDEX,
+             fill=None):
     """Score plain single-scale predictions against sample labels."""
     acc = EvalAccumulator(num_classes, ignore_index)
     for s in samples:

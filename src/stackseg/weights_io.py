@@ -77,7 +77,10 @@ def load_weights(path):
             n_bytes = 4 * math.prod(dims)  # Python ints: cannot overflow
             raw, left = _read_exactly(f, n_bytes, left, path,
                                       f"payload of {name!r}")
-            state[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            try:  # numpy refuses shapes like (2**32-1,)*3 + (0,)
+                state[name] = np.frombuffer(raw, "<f4").reshape(dims).copy()
+            except ValueError:
+                raise DataError(f"{path}: {name!r} has unusable shape {dims}")
         if f.read(1):
             raise DataError(f"{path}: trailing bytes after {count} tensors")
     return state

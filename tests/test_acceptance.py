@@ -176,6 +176,7 @@ def toy_runs():
 # 6. the two-unit stack learns the toy task
 
 
+@pytest.mark.slow
 def test_criterion_06_toy_learning(toy_runs):
     runs = toy_runs["m2"]
     good = [r for r in runs
@@ -193,6 +194,7 @@ def test_criterion_06_toy_learning(toy_runs):
 # 7. more units help; hierarchical supervision helps
 
 
+@pytest.mark.slow
 def test_criterion_07_ablation_directions(toy_runs):
     means = {k: float(np.mean([r["miou"] for r in v]))
              for k, v in toy_runs.items()}

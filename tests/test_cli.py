@@ -11,7 +11,8 @@ import pytest
 
 import stackseg
 from stackseg import cli
-from stackseg.data import load_samples, read_pgm
+from stackseg.data import load_samples, pad_to_multiple, read_pgm
+from stackseg.network import StackedNet, mini_config
 from stackseg.weights_io import MAGIC, VERSION, load_weights, save_weights
 
 
@@ -178,28 +179,65 @@ def test_infer_rejects_corrupt_tensor_header(tmp_path, capsys):
     _infer_fails_cleanly(tmp_path, capsys, weights)
 
 
-@pytest.mark.parametrize("vec", [
-    [1, 3, 1, 5, 1, 1, 0.8],     # profile id outside {0: mini, 1: full}
-    [1, 3],                      # wrong length
-    1.0,                         # scalar
-    [1, 3, 1, 0, 0, 1, 0.8],     # supervision mask with no ratio bit
-    [1, 3, 1, 0, 1, 1, np.nan],  # non-finite
-], ids=["profile_id", "length_2", "scalar", "empty_mask", "nan"])
-def test_infer_rejects_malformed_config(tmp_path, capsys, vec):
-    weights = tmp_path / "bad_config.sdnw"
-    save_weights(weights, {"meta.config": np.array(vec, dtype=np.float32)})
-    _infer_fails_cleanly(tmp_path, capsys, weights)
+def _infer(weights, data, out, *flags):
+    assert run(["infer", "--weights", str(weights), "--data", str(data),
+                "--out", str(out), *flags]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("classes,units,hint", [
-    (1e9, 1, "1000000000 classes"),  # would ask for TiBs of head weights
-    (3, 2, "2 units"),               # the tensors hold one unit
+@pytest.mark.parametrize("flags", [(), ("--ms-flip", "--scales", "0.5,1.0")],
+                         ids=["plain", "ms_flip"])
+def test_infer_reads_checkpoint_with_legacy_config(workspace, tmp_path,
+                                                   flags):
+    """Earlier versions also stored a float32 config vector, meta.config;
+    such a file still infers, to the same bytes."""
+    state = load_weights(workspace / "net.sdnw")
+    legacy = tmp_path / "legacy.sdnw"
+    save_weights(legacy, {**state, "meta.config": np.array(
+        [1, 3, 1, 0, 1, 1, 0.8], dtype=np.float32)})
+    data = workspace / "data" / "manifest.txt"
+    plain = _infer(workspace / "net.sdnw", data, tmp_path / "plain", *flags)
+    assert len(plain) == 6
+    assert _infer(legacy, data, tmp_path / "legacy", *flags) == plain
+
+
+def test_infer_reads_any_saved_state_dict(workspace, tmp_path):
+    """A file holding only ``net.state_dict()`` is a usable checkpoint."""
+    net = StackedNet(mini_config(3, 2, supervision_ratios=(8, 4)), seed=1)
+    weights = tmp_path / "state.sdnw"
+    save_weights(weights, net.state_dict())
+    data = workspace / "data" / "manifest.txt"
+    _infer(weights, data, tmp_path / "p")
+    _, samples = load_samples(data)
+    for s in samples:
+        h, w = s.image.shape[1:]
+        padded, _ = pad_to_multiple(s.image)
+        want = net.predict(padded[None])[0][:h, :w]
+        got = read_pgm(tmp_path / "p" / f"{s.name}_pred.pgm")
+        assert np.array_equal(got, want)
+
+
+def _huge_classes(state):
+    # a score head declaring 1e9 outputs, stored with zero payload
+    state["unit1.head4.w"] = np.zeros((10**9, 0, 3, 3), dtype=np.float32)
+
+
+def _many_units(state):
+    # the head names of 10 000 units, each head stored with zero payload
+    for i in range(2, 10_001):
+        state[f"unit{i}.head4.w"] = np.zeros((3, 0, 3, 3), dtype=np.float32)
+
+
+@pytest.mark.parametrize("craft,hint,max_peak", [
+    (_huge_classes, "1000000000-class", 1 << 20),
+    (_many_units, "10000-unit", 16 << 20),  # reading 10 000 entries
 ], ids=["huge_num_classes", "wrong_num_units"])
 def test_infer_checks_config_against_tensors(workspace, tmp_path, capsys,
-                                             classes, units, hint):
+                                             craft, hint, max_peak):
+    """A file whose tensor names describe a network larger than the values
+    it stores fails before that network is built."""
     state = load_weights(workspace / "net.sdnw")
-    state["meta.config"] = np.array([1, classes, units, 0, 1, 1, 0.8],
-                                    dtype=np.float32)
+    craft(state)
     weights = tmp_path / "lying.sdnw"
     save_weights(weights, state)
     manifest = tmp_path / "m.txt"
@@ -213,7 +251,18 @@ def test_infer_checks_config_against_tensors(workspace, tmp_path, capsys,
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert err.startswith("error:") and hint in err
-    assert peak < 1 << 20
+    assert peak < max_peak
+
+
+@pytest.mark.parametrize("scales", ["0.5,abc", "nan", "inf", "1e400", "0",
+                                    "-1"])
+def test_infer_rejects_bad_scales(workspace, tmp_path, capsys, scales):
+    assert run(["infer", "--weights", str(workspace / "net.sdnw"),
+                "--data", str(workspace / "data" / "manifest.txt"),
+                "--out", str(tmp_path / "p"), "--ms-flip",
+                "--scales", scales]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "scales" in err
 
 
 def test_eval_rejects_corrupt_prediction_map(workspace, tmp_path, capsys):

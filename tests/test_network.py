@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from stackseg import ConfigError, DataError, UsageError, backward
 from stackseg.network import (
     StackedNet,
+    config_from_state,
     full_config,
     mini_config,
     predict_ms_flip,
@@ -215,6 +216,16 @@ def test_load_state_rejects_mismatches(tmp_path):
     wrong["entry.w"] = np.zeros((1, 2, 3, 3), dtype=np.float32)
     with pytest.raises(DataError):
         net.load_state(wrong)
+
+
+@pytest.mark.parametrize("make,units,ratios", [
+    *((mini_config, units, ratios) for units in (1, 2, 3)
+      for ratios in ((16, 8, 4), (8, 4), (16, 4), (4,))),
+    (full_config, 1, (16, 8, 4)),
+])
+def test_config_from_state_inverts_state_dict(make, units, ratios):
+    cfg = make(5, units, supervision_ratios=ratios)
+    assert config_from_state(StackedNet(cfg).state_dict()) == cfg
 
 
 def test_full_profile_config_builds_report_sizes():

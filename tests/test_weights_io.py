@@ -128,6 +128,14 @@ def test_corrupt_lengths_rejected_before_allocation(tmp_path, entry, hint):
     assert peak < 1 << 20
 
 
+def test_empty_tensor_numpy_cannot_shape_rejected(tmp_path):
+    # no payload, but the nonzero dims multiply past numpy's index range
+    path = tmp_path / "huge_empty.sdnw"
+    path.write_bytes(_container(_entry_header(dims=(0xFFFFFFFF,) * 3 + (0,))))
+    with pytest.raises(DataError, match="unusable shape"):
+        load_weights(path)
+
+
 def test_name_that_is_not_utf8_rejected(tmp_path):
     path = tmp_path / "latin1.sdnw"
     path.write_bytes(_container(_entry_header(name=b"\xff\xfe")
