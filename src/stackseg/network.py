@@ -456,11 +456,14 @@ def predict_ms_flip(net, image, scales=(0.5, 0.8, 1.0, 1.2, 1.4),
                           f"{min_side}px")
             continue
         scaled = resize_bilinear_array(image, sh, sw)
-        for flipped in (False, True) if mirror else (False,):
-            view = scaled[:, :, ::-1] if flipped else scaled
-            padded, _ = pad_to_multiple(view, None, SIZE_MULTIPLE, mean_pixel)
-            logits = net.predict_logits(padded[None])[0]
-            probs = softmax_probs(logits[None, :, :sh, :sw])[0]
+        views = (scaled, scaled[:, :, ::-1]) if mirror else (scaled,)
+        # one n=2 forward for both views: cheaper than two n=1 calls and
+        # bitwise equal to them
+        batch = np.stack([pad_to_multiple(v, None, SIZE_MULTIPLE, mean_pixel)[0]
+                          for v in views])
+        logits = net.predict_logits(batch)
+        for flipped, lg in enumerate(logits):
+            probs = softmax_probs(lg[None, :, :sh, :sw])[0]
             probs = resize_bilinear_array(probs, h, w)
             acc += probs[:, :, ::-1] if flipped else probs
             used += 1

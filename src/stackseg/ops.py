@@ -1,10 +1,12 @@
 """Primitive differentiable operations on rank-4 tensors.
 
-Convolution and its transpose are lowered to patch matrices (im2col) and
-batched GEMMs; ``tests/reference.py`` keeps direct-loop versions of both
-as independent oracles. All ops follow the dtype of their inputs, so
-the same code runs in float32 for training and float64 for gradient
-checks.
+Convolution and its transpose are lowered to batched GEMMs. Stride-1
+convs with a narrow output multiply each kernel tap's weights against a
+shifted slice of the padded input; strided, 1x1 and wide convs and the
+transposed conv go through patch matrices (im2col). ``tests/reference.py``
+keeps direct-loop versions of both ops as independent oracles. All ops
+follow the dtype of their inputs, so the same code runs in float32 for
+training and float64 for gradient checks.
 
 Layout conventions:
   activations  (n, c, h, w)
@@ -79,8 +81,58 @@ def _col2im(cols, x_shape, kh, kw, sh, sw, ph, pw, dh, dw, oh, ow):
 # ---------------------------------------------------------------------------
 # convolution and friends
 
+# Widest output for which a stride-1 k>1 conv takes the tap-slice route.
+# Measured crossover (float32, 2 BLAS threads; forward and gw ms, im2col ->
+# slices; n=1 unless noted):
+#   ci->co   size  forward        gw
+#   40->8    16    0.70 -> 0.27   0.32 -> 0.27   (n=4, mini growth conv)
+#   192->48  80    25.3 -> 10.4   10.5 -> 9.2    (full growth conv)
+#   512->128 40    21.0 -> 16.3   14.5 -> 14.8
+#   384->192 80    96.2 -> 62.5   57.2 -> 68.2   (full skip4)
+#   1536->192 20   25.1 -> 24.4   20.7 -> 22.1
+#   2048->256 20   31.1 -> 39.6   29.7 -> 28.5
+#   1024->1024 20  48.0 -> 82.1   61.0 -> 78.2   (full entry)
+# Slices copy the weights per call (co*ci*k^2) where im2col copies the
+# input k^2 times (ci*k^2*h*w), and their per-tap GEMMs are co rows tall,
+# so wide outputs at small sizes lose.
+_SLICE_MAX_CO = 192
+
+
+def _pad_flat(x, ph, pw):
+    """Zero-pad (n, c, h, w) by ph rows above, ph + 1 below and pw columns
+    each side; return it flattened to (n, c, Hp*Wp), and Wp.
+
+    The extra row lets the last tap's slice run past the bottom-right
+    corner by up to Wp - 1 elements without leaving the buffer.
+    """
+    n, c, h, w = x.shape
+    wp = w + 2 * pw
+    xp = np.zeros((n, c, h + 2 * ph + 1, wp), dtype=x.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    return xp.reshape(n, c, -1), wp
+
+
 def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
-    """2-D cross-correlation with stride, zero padding, and dilation."""
+    """2-D cross-correlation with stride, zero padding, and dilation.
+
+    Two forward routes give the same map up to summation order:
+
+    - **Tap slices** (stride 1, kernel larger than 1x1, ``co <=
+      _SLICE_MAX_CO``). ``x`` is padded once and flattened to ``xf`` of
+      shape (n, ci, Hp*Wp); tap (i, j) is then the contiguous slice
+      starting at ``i*dh*Wp + j*dw``, and ``out = sum_ij W[:, :, i, j] @
+      slice_ij`` at width Wp, of which the last ``Wp - ow`` columns are
+      dropped. The weight gradient is one GEMM of k^2 shifted, zero-
+      extended copies of ``g`` against ``xf``, re-padded in backward, so
+      nothing but the parents outlives the forward (the kn2row/MEC family:
+      Vasudevan et al. 2017, arXiv 1704.04428; Cho & Brand 2017, arXiv
+      1706.06873).
+    - **im2col** (everything else: strided, 1x1 and wide convs). A patch
+      matrix of k^2 shifted views, kept for the weight gradient; for an
+      unpadded stride-1 1x1 kernel it is a view of ``x``.
+
+    The crossover table sits beside ``_SLICE_MAX_CO``.
+    """
     x, w = as_tensor(x), as_tensor(w)
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
@@ -104,9 +156,21 @@ def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
             f"{h}x{iw} with pad {ph}x{pw}"
         )
 
-    cols = _im2col(x.data, kh, kw, sh, sw, ph, pw, dh, dw, oh, ow)
     w_mat = w.data.reshape(co, -1)
-    out = np.matmul(w_mat, cols).reshape(n, co, oh, ow)
+    slices = sh == sw == 1 and kh * kw > 1 and co <= _SLICE_MAX_CO
+    if slices:
+        xf, wp = _pad_flat(x.data, ph, pw)
+        span = oh * wp
+        taps = [i * dh * wp + j * dw for i in range(kh) for j in range(kw)]
+        w_taps = w.data.transpose(2, 3, 0, 1).reshape(kh * kw, co, ci)
+        acc = np.matmul(w_taps[0], xf[:, :, :span])
+        tmp = np.empty_like(acc)
+        for t, o in enumerate(taps[1:], 1):
+            acc += np.matmul(w_taps[t], xf[:, :, o:o + span], out=tmp)
+        out = acc.reshape(n, co, oh, wp)[:, :, :, :ow]
+    else:
+        cols = _im2col(x.data, kh, kw, sh, sw, ph, pw, dh, dw, oh, ow)
+        out = np.matmul(w_mat, cols).reshape(n, co, oh, ow)
     parents = [x, w]
     if b is not None:
         b = as_tensor(b)
@@ -126,14 +190,26 @@ def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
     via_gcols = sh == 1 and sw == 1 and qh >= 0 and qw >= 0
 
     def backward_fn(g):
-        g_mat = g.reshape(n, co, oh * ow)
-        gw = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
+        if slices:
+            xf, _ = _pad_flat(x.data, ph, pw)
+            g_ext = np.zeros((n, co, oh, wp), dtype=g.dtype)
+            g_ext[:, :, :, :ow] = g
+            g_ext = g_ext.reshape(n, co, span)
+            g_taps = np.zeros((n, len(taps), co, xf.shape[2]), dtype=g.dtype)
+            for t, o in enumerate(taps):
+                g_taps[:, t, :, o:o + span] = g_ext
+            gw = np.matmul(g_taps.reshape(n, -1, xf.shape[2]),
+                           xf.transpose(0, 2, 1)).sum(axis=0)
+            gw = gw.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1)
+        else:
+            gw = np.matmul(g.reshape(n, co, oh * ow), cols.transpose(0, 2, 1)) \
+                .sum(axis=0).reshape(w.data.shape)
         if via_gcols:
             w_flip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
             gcols = _im2col(g, kh, kw, 1, 1, qh, qw, dh, dw, h, iw)
             gx = np.matmul(w_flip, gcols).reshape(x.data.shape)
         else:
-            gcols = np.matmul(w_mat.T, g_mat)
+            gcols = np.matmul(w_mat.T, g.reshape(n, co, oh * ow))
             gx = _col2im(gcols, x.data.shape, kh, kw, sh, sw, ph, pw, dh, dw,
                          oh, ow)
         if len(parents) == 3:
@@ -363,11 +439,12 @@ def dropout(x, keep_prob, training, rng=None):
     if rng is None:
         raise ConfigError("dropout: training mode requires an rng")
     scale = x.data.dtype.type(1.0 / keep_prob)
-    mask = (rng.random(x.data.shape) < keep_prob).astype(x.data.dtype) * scale
-    out = x.data * mask
+    # kept as bool (a quarter of float32's bytes) and scaled where used
+    keep = rng.random(x.data.shape) < keep_prob
+    out = x.data * (keep * scale)
 
     def backward_fn(g):
-        return (g * mask,)
+        return (g * (keep * scale),)
 
     return Tensor(out, (x,), backward_fn, op="dropout")
 

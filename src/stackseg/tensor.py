@@ -6,9 +6,9 @@ channels, height, width)``; losses are rank-0. Every op in
 and a closure computing the parents' gradients, so a forward pass leaves
 behind the DAG needed for reverse-mode differentiation. Inside a
 :func:`no_grad` block tensors keep neither, so each op's intermediates
-(im2col patches, masks) are freed as soon as it returns. Tensors are
-never mutated after creation; :class:`Param` values are mutated only
-between optimizer steps.
+(im2col patches, dropout and ReLU masks) are freed as soon as it
+returns. Tensors are never mutated after creation; :class:`Param` values
+are mutated only between optimizer steps.
 """
 from __future__ import annotations
 

@@ -3,15 +3,17 @@
 conv2d is checked through the adjoint identities its two gradients must
 satisfy, so both input-gradient routes (correlation of ``g`` with the
 flipped kernel for stride 1, ``col2im`` for strided convs and pads wider
-than the dilated kernel) are pinned to the same linear map. maxpool2d is
-checked against a direct-loop oracle and softmax-CE against its closed
-form. Everything runs in float64.
+than the dilated kernel) and both weight-gradient routes (tap slices for
+stride-1 convs with narrow output, im2col otherwise) are pinned to the
+same linear map. maxpool2d is checked against a direct-loop oracle and
+softmax-CE against its closed form. Everything runs in float64.
 """
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import reference
+from stackseg import ops
 from stackseg.ops import conv2d, maxpool2d, softmax_ce_loss
 from stackseg.tensor import Tensor
 
@@ -21,6 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
+WIDE = ops._SLICE_MAX_CO + 1  # narrowest output that takes im2col
 
 
 @st.composite
@@ -43,6 +46,9 @@ def conv_cases(draw):
 @example((1, 4, 2, 9, 8, 3, 1, 2, 2, 1))   # dilated, pad == d*(k-1)
 @example((2, 3, 5, 8, 7, 3, 1, 3, 1, 2))   # pad > d*(k-1): col2im route
 @example((2, 2, 3, 9, 9, 3, 2, 1, 1, 3))   # stride 2: col2im route
+@example((1, 2, WIDE, 3, 4, 3, 1, 1, 1, 4))  # wide: im2col gw, correlation
+@example((1, 2, WIDE, 3, 3, 3, 1, 3, 1, 5))  # wide: im2col gw, col2im
+@example((1, 2, WIDE - 1, 3, 4, 3, 1, 1, 1, 6))  # widest tap-slice gw
 @PROPERTY
 def test_conv2d_gradients_are_adjoints(case):
     n, ci, co, h, w, k, s, p, d, seed = case

@@ -326,6 +326,26 @@ def test_dropout_deterministic_per_seed():
     assert not np.allclose(a, c)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_bool_mask_is_bitwise_the_float_mask(dtype):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((2, 3, 5, 4)).astype(dtype)  # half negative
+    x[0, 0, 0, :3] = np.nan
+    g = rng.standard_normal(x.shape).astype(dtype)
+    g[1, 2, 4, :3] = np.nan
+    out = dropout(Tensor(x), 0.8, True, np.random.default_rng(9))
+    (gx,) = out.backward_fn(g)
+    # the same mask as a float array, scaled up front
+    mask = (np.random.default_rng(9).random(x.shape) < 0.8).astype(dtype) \
+        * dtype(1.0 / 0.8)
+    assert out.data.dtype == gx.dtype == dtype
+    np.testing.assert_array_equal(out.data, x * mask)
+    np.testing.assert_array_equal(gx, g * mask)
+    kept = [c.cell_contents for c in out.backward_fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert [a.dtype for a in kept] == [np.bool_]
+
+
 def test_dropout_identity_cases_and_errors():
     t = Tensor(np.ones((1, 1, 2, 2)))
     assert dropout(t, 0.8, training=False) is t
