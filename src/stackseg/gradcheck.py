@@ -207,52 +207,3 @@ def composite_check(seed, step=2e-4):
         return ops.softmax_ce_loss(h, labels)
 
     return max_rel_error(build, [x, w1, gamma, beta, wd, skip], step=step)
-
-
-def network_spot_check(seed, num_coords=12, step=2e-4):
-    """FD-probe sampled weight coordinates of a small two-unit stack.
-
-    Builds the mini segmentation network, casts its parameters to
-    float64, and compares one backward pass against central differences
-    of the summed head losses at ``num_coords`` randomly chosen parameter
-    entries. Inference-mode forward keeps the loss deterministic (the
-    train-mode branches of batch norm and dropout have their own checks).
-    Returns the worst relative error over the probes.
-    """
-    from .network import StackedNet, mini_config
-
-    rng = np.random.default_rng(seed)
-    net = StackedNet(mini_config(3, num_units=2), seed=seed)
-    params = net.params()
-    for p in params:
-        p.value = p.value.astype(np.float64)
-    x = spread_values(rng, (1, 3, 16, 16))
-    labels = rng.integers(0, 3, size=(1, 16, 16))
-    labels[0, :3, :] = 255
-
-    def total_loss():
-        maps = net.forward(x)
-        named = net.losses(maps, labels)
-        return sum(w * float(loss.data) for _, loss, w in named)
-
-    maps = net.forward(x)
-    named = net.losses(maps, labels)
-    backward([loss for _, loss, _ in named], [w for _, _, w in named])
-
-    worst = 0.0
-    for p in rng.choice(len(params), size=num_coords, replace=False):
-        param = params[p]
-        i = int(rng.integers(param.value.size))
-        flat = param.value.reshape(-1)
-        orig = flat[i]
-        flat[i] = orig + step
-        f_plus = total_loss()
-        flat[i] = orig - step
-        f_minus = total_loss()
-        flat[i] = orig
-        numeric = (f_plus - f_minus) / (2.0 * step)
-        analytic = float(param._grad.reshape(-1)[i])
-        denom = max(abs(numeric), abs(analytic), 1e-8)
-        worst = max(worst, abs(numeric - analytic) / denom)
-        param.zero_grad()
-    return worst

@@ -31,6 +31,7 @@ from .ops import bilinear_resize, concat_channels, eltwise_add, maxpool2d, \
 from .tensor import Tensor, no_grad
 
 SIZE_MULTIPLE = 16  # inputs must divide evenly down to the deepest scale
+KEEP_PROB = 0.8  # dropout keep probability of every stacked-unit conv
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,13 @@ class NetworkConfig:
     down_layers: tuple = (2, 4)
     up_layers: tuple = (2, 2)
     skip_width: int = 16
-    entry_width: int = 32
     supervision_ratios: tuple = (16, 8, 4)
     loss_weights: dict = field(default_factory=dict)
-    fuse_scores: bool = True
-    keep_prob: float = 0.8
+
+    @property
+    def entry_width(self):
+        """Every unit hands the next one a decoder entry of this width."""
+        return self.down_widths[1]
 
     def validate(self):
         if self.num_classes < 2:
@@ -75,19 +78,12 @@ class NetworkConfig:
         if 4 not in ratios:
             raise ConfigError("supervision_ratios must include 4: the final "
                               "prediction reads the fused ratio-4 map")
-        if self.entry_width != self.down_widths[1]:
-            raise ConfigError(
-                f"entry_width {self.entry_width} != down_widths[1] "
-                f"{self.down_widths[1]}: every unit must hand the next one a "
-                "decoder entry of the same width")
         if set(self.loss_weights) - {4, 8, 16}:
             raise ConfigError(f"loss_weights keys {sorted(self.loss_weights)} "
                               "must be supervision ratios")
         for name in ("growth", "skip_width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if not 0.0 < self.keep_prob <= 1.0:
-            raise ConfigError(f"keep_prob {self.keep_prob} not in (0, 1]")
 
     def weight_for(self, ratio):
         return float(self.loss_weights.get(ratio, 1.0))
@@ -101,22 +97,19 @@ FULL_ENCODER = EncoderConfig(stem_channels=96, stem_kernel=7, stem_pool=3,
                              bottleneck=True)
 
 
-def mini_config(num_classes, num_units=1, **overrides):
+def mini_config(num_classes, num_units=1, supervision_ratios=(16, 8, 4)):
     """Desk-scale profile: same wiring as the full model, ~1000x smaller."""
-    base = dict(num_classes=num_classes, num_units=num_units,
-                encoder=MINI_ENCODER, growth=8, down_widths=(24, 32),
-                up_widths=(24, 16), skip_width=16, entry_width=32)
-    base.update(overrides)
-    return NetworkConfig(**base)
+    return NetworkConfig(num_classes, num_units, encoder=MINI_ENCODER,
+                         growth=8, down_widths=(24, 32), up_widths=(24, 16),
+                         skip_width=16, supervision_ratios=supervision_ratios)
 
 
-def full_config(num_classes, num_units=1, **overrides):
+def full_config(num_classes, num_units=1, supervision_ratios=(16, 8, 4)):
     """Benchmark-scale profile on the 161-layer densely connected encoder."""
-    base = dict(num_classes=num_classes, num_units=num_units,
-                encoder=FULL_ENCODER, growth=48, down_widths=(768, 1024),
-                up_widths=(768, 576), skip_width=192, entry_width=1024)
-    base.update(overrides)
-    return NetworkConfig(**base)
+    return NetworkConfig(num_classes, num_units, encoder=FULL_ENCODER,
+                         growth=48, down_widths=(768, 1024),
+                         up_widths=(768, 576), skip_width=192,
+                         supervision_ratios=supervision_ratios)
 
 
 class DenseEncoder(Module):
@@ -179,12 +172,11 @@ class DownStage(Module):
     """Halve resolution by max pooling, merge the same-scale lateral skip,
     grow dense features, compress to the stage width."""
 
-    def __init__(self, name, in_c, skip_c, num_layers, growth, out_c, rng,
-                 keep_prob):
+    def __init__(self, name, in_c, skip_c, num_layers, growth, out_c, rng):
         self.block = DenseBlock(f"{name}.block", in_c + skip_c, num_layers,
-                                growth, rng, keep_prob=keep_prob)
+                                growth, rng, keep_prob=KEEP_PROB)
         self.comp = BnActConv(f"{name}.comp", self.block.out_channels, out_c,
-                              3, rng, bias=True, keep_prob=keep_prob)
+                              3, rng, bias=True, keep_prob=KEEP_PROB)
         self.out_channels = out_c
 
     def __call__(self, x, skip, training=False, rng=None):
@@ -199,16 +191,15 @@ class UpStage(Module):
     the encoder skip projection, grow dense features, and compress;
     the last unit's final stage skips compression and stays wide."""
 
-    def __init__(self, name, in_c, skip_c, num_layers, growth, out_c, rng,
-                 keep_prob):
+    def __init__(self, name, in_c, skip_c, num_layers, growth, out_c, rng):
         self.up = UpsampleLayer(f"{name}.up", in_c, in_c, rng)
         self.block = DenseBlock(f"{name}.block", in_c + skip_c, num_layers,
-                                growth, rng, keep_prob=keep_prob)
+                                growth, rng, keep_prob=KEEP_PROB)
         self.comp = None
         if out_c is not None:
             self.comp = BnActConv(f"{name}.comp", self.block.out_channels,
                                   out_c, 3, rng, bias=True,
-                                  keep_prob=keep_prob)
+                                  keep_prob=KEEP_PROB)
         self.out_channels = out_c if out_c is not None else self.block.out_channels
 
     def __call__(self, x, skip, training=False, rng=None):
@@ -227,22 +218,21 @@ class StackUnit(Module):
     stack grow to any depth."""
 
     def __init__(self, name, cfg, rng, first, last):
-        kp = cfg.keep_prob
         self.first = first
         self.down1 = self.down2 = None
         if not first:
             self.down1 = DownStage(f"{name}.down1", cfg.up_widths[1],
                                    cfg.up_widths[0], cfg.down_layers[0],
-                                   cfg.growth, cfg.down_widths[0], rng, kp)
+                                   cfg.growth, cfg.down_widths[0], rng)
             self.down2 = DownStage(f"{name}.down2", cfg.down_widths[0],
                                    cfg.entry_width, cfg.down_layers[1],
-                                   cfg.growth, cfg.down_widths[1], rng, kp)
+                                   cfg.growth, cfg.down_widths[1], rng)
         self.up1 = UpStage(f"{name}.up1", cfg.entry_width, cfg.skip_width,
                            cfg.up_layers[0], cfg.growth, cfg.up_widths[0],
-                           rng, kp)
+                           rng)
         self.up2 = UpStage(f"{name}.up2", cfg.up_widths[0], cfg.skip_width,
                            cfg.up_layers[1], cfg.growth,
-                           None if last else cfg.up_widths[1], rng, kp)
+                           None if last else cfg.up_widths[1], rng)
 
 
 class StackedNet:
@@ -327,7 +317,7 @@ class StackedNet:
         if h % SIZE_MULTIPLE or w % SIZE_MULTIPLE:
             raise ConfigError(
                 f"input {h}x{w} not a multiple of {SIZE_MULTIPLE}; pad first")
-        if training and rng is None and self.config.keep_prob < 1.0:
+        if training and rng is None:
             raise UsageError("training forward needs an rng for dropout")
 
         feat, raw_skips = self.encoder(x, training, rng)
@@ -349,7 +339,7 @@ class StackedNet:
             taps = {16: d, 8: u1, 4: u2}
             for r in self.config.supervision_ratios:
                 score = self.heads[(i, r)](taps[r])
-                if self.config.fuse_scores and r in fused:
+                if r in fused:
                     score = eltwise_add(score, fused[r])
                 fused[r] = score
                 maps[(i, r)] = score
@@ -390,12 +380,12 @@ _HEAD_NAME = re.compile(r"unit([1-9]\d{0,8})\.head(\d{1,2})\.w")
 def config_from_state(state):
     """The NetworkConfig whose ``state_dict()`` has these names and shapes.
 
-    The ``encoder.stem.w`` width picks the profile; the ``unitN.headR.w``
-    tensors give the units, the ratios and (first dimension) the classes.
-    All else, ``fuse_scores`` and ``keep_prob`` included, takes the profile
-    default, as ``stackseg train`` writes it. Raises DataError, before
-    anything is built, unless the config's closed-form parameter count
-    equals the number of values stored.
+    The ``encoder.stem.w`` width picks the profile, which fixes every
+    width and depth; the ``unitN.headR.w`` tensors give the units, the
+    ratios and (first dimension) the classes. Those four are all a config
+    holds that the forward pass reads. Raises DataError, before anything
+    is built, unless the config's closed-form parameter count equals the
+    number of values stored.
     """
     stem = state.get("encoder.stem.w")
     width = stem.shape[0] if stem is not None and stem.ndim else None
@@ -430,36 +420,34 @@ def config_from_state(state):
 
 
 def predict_ms_flip(net, image, scales=(0.5, 0.8, 1.0, 1.2, 1.4),
-                    mirror=True, mean_pixel=None, min_side=16,
-                    return_probs=False):
+                    mirror=True, return_probs=False):
     """Average class probabilities over scales (and mirrors) of one image.
 
     ``image`` is (3, h, w); returns the (h, w) label map, or the pair
     (labels, averaged probabilities) when ``return_probs`` is set. Scales
-    whose resized short side would fall below ``min_side`` are skipped
-    with a warning. Each variant is padded to the size multiple, scored,
-    cropped back, softmaxed, and resized to the original resolution
-    before averaging.
+    whose resized short side would fall below ``SIZE_MULTIPLE`` are
+    skipped with a warning. Each variant is padded to the size multiple
+    with the image's mean pixel, scored, cropped back, softmaxed, and
+    resized to the original resolution before averaging.
     """
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != 3:
         raise DataError(f"expected (3, h, w) image, got {image.shape}")
     h, w = image.shape[1:]
-    if mean_pixel is None:
-        mean_pixel = image.mean(axis=(1, 2))
+    fill = image.mean(axis=(1, 2))
     acc = np.zeros((net.config.num_classes, h, w), dtype=np.float64)
     used = 0
     for s in scales:
         sh, sw = int(round(h * s)), int(round(w * s))
-        if min(sh, sw) < min_side:
+        if min(sh, sw) < SIZE_MULTIPLE:
             warnings.warn(f"skipping scale {s}: {sh}x{sw} is below "
-                          f"{min_side}px")
+                          f"{SIZE_MULTIPLE}px")
             continue
         scaled = resize_bilinear_array(image, sh, sw)
         views = (scaled, scaled[:, :, ::-1]) if mirror else (scaled,)
         # one n=2 forward for both views: cheaper than two n=1 calls and
         # bitwise equal to them
-        batch = np.stack([pad_to_multiple(v, None, SIZE_MULTIPLE, mean_pixel)[0]
+        batch = np.stack([pad_to_multiple(v, None, SIZE_MULTIPLE, fill)[0]
                           for v in views])
         logits = net.predict_logits(batch)
         for flipped, lg in enumerate(logits):

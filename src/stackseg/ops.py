@@ -254,11 +254,8 @@ def deconv2d(x, w, stride=2, pad=1):
 
 
 def maxpool2d(x, kernel=2, stride=None, pad=0):
-    """Max pooling; backward routes each gradient to its argmax position.
-
-    The recorded argmax indices are exposed on the result as ``.indices``
-    (flat index into the kh*kw window, first maximum on ties).
-    """
+    """Max pooling; backward routes each gradient to its argmax position
+    (the first maximum of the window on ties)."""
     x = as_tensor(x)
     kh, kw = _pair(kernel)
     sh, sw = _pair(kernel if stride is None else stride)
@@ -296,9 +293,7 @@ def maxpool2d(x, kernel=2, stride=None, pad=0):
                 gx[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += g * (tap == i * kw + j)
         return (gx[:, :, ph:ph + h, pw:pw + iw],)
 
-    t = Tensor(out, (x,), backward_fn, op="maxpool2d")
-    t.indices = idx.reshape(n, c, oh, ow)
-    return t
+    return Tensor(out, (x,), backward_fn, op="maxpool2d")
 
 
 def resize_matrix(src, dst, dtype=np.float64):

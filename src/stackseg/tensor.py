@@ -13,13 +13,11 @@ are mutated only between optimizer steps.
 from __future__ import annotations
 
 import contextlib
-import itertools
 
 import numpy as np
 
 from .errors import UsageError
 
-_node_counter = itertools.count()
 _grad_enabled = True
 
 
@@ -48,8 +46,7 @@ class Tensor:
     and ``backward_fn`` are dropped.
     """
 
-    __slots__ = ("data", "grad", "parents", "backward_fn", "op", "param",
-                 "node_id", "indices")
+    __slots__ = ("data", "grad", "parents", "backward_fn", "op", "param")
 
     def __init__(self, data, parents=(), backward_fn=None, op="leaf", param=None):
         self.data = np.asarray(data)
@@ -62,7 +59,6 @@ class Tensor:
             self.backward_fn = None
         self.op = op
         self.param = param
-        self.node_id = next(_node_counter)
 
     @property
     def shape(self):
@@ -73,7 +69,7 @@ class Tensor:
         return self.data.dtype
 
     def __repr__(self):
-        return f"Tensor(op={self.op!r}, shape={self.data.shape}, id={self.node_id})"
+        return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
 
 def toposort(roots):
@@ -124,16 +120,17 @@ def backward(loss_nodes, loss_weights=None):
             raise UsageError(f"loss node {node!r} was built under no_grad "
                              "and has no graph to differentiate")
 
-    grads = {}  # node_id -> accumulated ndarray
+    # keyed by id(): every node stays alive in loss_nodes or the order
+    grads = {}  # id(node) -> accumulated ndarray
     for node, w in zip(loss_nodes, loss_weights):
         seed = np.asarray(w, dtype=node.data.dtype)
-        if node.node_id in grads:
-            grads[node.node_id] = grads[node.node_id] + seed
+        if id(node) in grads:
+            grads[id(node)] = grads[id(node)] + seed
         else:
-            grads[node.node_id] = seed
+            grads[id(node)] = seed
 
     for node in reversed(toposort(loss_nodes)):
-        g = grads.pop(node.node_id, None)
+        g = grads.pop(id(node), None)
         if g is None:
             continue
         if node.param is not None:
@@ -145,10 +142,10 @@ def backward(loss_nodes, loss_weights=None):
         for parent, pg in zip(node.parents, parent_grads):
             if pg is None:
                 continue
-            if parent.node_id in grads:
-                grads[parent.node_id] = grads[parent.node_id] + pg
+            if id(parent) in grads:
+                grads[id(parent)] = grads[id(parent)] + pg
             else:
-                grads[parent.node_id] = pg
+                grads[id(parent)] = pg
 
 
 class Param:

@@ -22,16 +22,12 @@ from .tensor import backward
 @dataclass
 class TrainConfig:
     base_lr: float = 2.5e-4
-    power: float = 0.9
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
     batch_size: int = 4
     crop: int = 64
     max_iter: int = 1000
     scales: tuple = (0.6, 0.8, 1.0, 1.2, 1.4)
     aspects: tuple = (0.7, 0.85, 1.0, 1.15, 1.3)
     hflip_prob: float = 0.5
-    ignore_index: int = IGNORE_INDEX
     seed: int = 0
     log_every: int = 10
 
@@ -50,9 +46,7 @@ class TrainConfig:
 
 def benchmark_profile(**overrides):
     """Settings for full-scale runs: batch 10, 320px crops, long horizon."""
-    base = dict(base_lr=2.5e-4, batch_size=10, crop=320, max_iter=30000,
-                scales=(0.6, 0.8, 1.0, 1.2, 1.4),
-                aspects=(0.7, 0.85, 1.0, 1.15, 1.3))
+    base = dict(batch_size=10, crop=320, max_iter=30000)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -102,7 +96,7 @@ def augment(sample, cfg, rng, fill):
         padded[:] = np.asarray(fill, dtype=image.dtype)[:, None, None]
         padded[:, :nh, :nw] = image
         image = padded
-        lab = np.full((nh + ph, nw + pw), cfg.ignore_index, dtype=labels.dtype)
+        lab = np.full((nh + ph, nw + pw), IGNORE_INDEX, dtype=labels.dtype)
         lab[:nh, :nw] = labels
         labels = lab
         nh, nw = image.shape[1:]
@@ -136,7 +130,7 @@ def train(net, samples, cfg, log_fn=None):
 
     history = []
     for it in range(cfg.max_iter):
-        lr = poly_lr(cfg.base_lr, it, cfg.max_iter, cfg.power)
+        lr = poly_lr(cfg.base_lr, it, cfg.max_iter)
         batch = [augment(samples[int(aug_rng.integers(len(samples)))],
                          cfg, aug_rng, fill)
                  for _ in range(cfg.batch_size)]
@@ -144,7 +138,7 @@ def train(net, samples, cfg, log_fn=None):
         y = np.stack([lb for _, lb in batch])
 
         maps = net.forward(x, training=True, rng=drop_rng)
-        named = net.losses(maps, y, cfg.ignore_index)
+        named = net.losses(maps, y)
         head_losses = {name: float(loss.data) for name, loss, _ in named}
         total = sum(w * float(loss.data) for _, loss, w in named)
         for name, value in head_losses.items():
@@ -154,7 +148,7 @@ def train(net, samples, cfg, log_fn=None):
                     f"{value} (lr was {lr:.3g})")
 
         backward([loss for _, loss, _ in named], [w for _, _, w in named])
-        sgd_step(params, lr, cfg.momentum, cfg.weight_decay)
+        sgd_step(params, lr)
 
         history.append({"iteration": it, "lr": lr, "total_loss": total,
                         "head_losses": head_losses})
@@ -164,15 +158,15 @@ def train(net, samples, cfg, log_fn=None):
     return history
 
 
-def evaluate(net, samples, num_classes, ignore_index=IGNORE_INDEX,
-             fill=None):
-    """Score plain single-scale predictions against sample labels."""
-    acc = EvalAccumulator(num_classes, ignore_index)
+def evaluate(net, samples, num_classes):
+    """Score plain single-scale predictions against sample labels; each
+    image is padded with its own mean pixel, as ``stackseg infer`` does."""
+    acc = EvalAccumulator(num_classes)
     for s in samples:
         if s.labels is None:
             raise DataError(f"sample {s.name} has no labels to score against")
         h, w = s.image.shape[1:]
-        padded, _ = pad_to_multiple(s.image, None, fill=fill)
+        padded, _ = pad_to_multiple(s.image)
         pred = net.predict(padded[None])[0][:h, :w]
         acc.update(s.labels, pred)
     return acc

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -27,15 +28,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         mini_config(3, num_units=0).validate()
     with pytest.raises(ConfigError):
-        mini_config(3, entry_width=64).validate()  # breaks unit chaining
-    with pytest.raises(ConfigError):
         mini_config(3, supervision_ratios=(8,)).validate()  # no final map
     with pytest.raises(ConfigError):
         mini_config(3, supervision_ratios=(4, 4)).validate()
     with pytest.raises(ConfigError):
-        mini_config(3, keep_prob=0.0).validate()
-    with pytest.raises(ConfigError):
-        mini_config(3, loss_weights={2: 1.0}).validate()
+        dataclasses.replace(mini_config(3), loss_weights={2: 1.0}).validate()
     mini_config(3, num_units=3).validate()  # fine
 
 
@@ -66,20 +63,27 @@ def test_last_unit_final_stage_stays_uncompressed():
 
 
 def test_score_fusion_is_running_sum_across_units():
-    cfg_on = mini_config(3, num_units=2)
-    cfg_off = mini_config(3, num_units=2, fuse_scores=False)
-    x = small_input()
-    fused = StackedNet(cfg_on, seed=5).forward(x)
-    raw = StackedNet(cfg_off, seed=5).forward(x)  # same init, no summing
+    net = StackedNet(mini_config(3, num_units=2), seed=5)
+    raw = {}  # each head's own output, before any summing
+
+    def recording(key, head):
+        def call(x):
+            raw[key] = head(x)
+            return raw[key]
+        return call
+
+    net.heads = {key: recording(key, head) for key, head in net.heads.items()}
+    maps = net.forward(small_input())
     for r in (16, 8, 4):
-        assert_allclose(fused[(0, r)].data, raw[(0, r)].data, rtol=1e-6)
-        assert_allclose(fused[(1, r)].data,
-                        raw[(0, r)].data + raw[(1, r)].data, rtol=1e-5)
+        assert np.array_equal(maps[(0, r)].data, raw[(0, r)].data)
+        assert np.array_equal(maps[(1, r)].data,
+                              raw[(0, r)].data + raw[(1, r)].data)
 
 
 def test_losses_names_weights_and_order():
-    net = StackedNet(mini_config(3, num_units=2, loss_weights={4: 2.0}),
-                     seed=0)
+    cfg = dataclasses.replace(mini_config(3, num_units=2),
+                              loss_weights={4: 2.0})
+    net = StackedNet(cfg, seed=0)
     labels = np.random.default_rng(1).integers(0, 3, size=(1, 64, 64))
     named = net.losses(net.forward(small_input()), labels)
     assert [n for n, _, _ in named] == [
@@ -175,7 +179,7 @@ def test_predict_logits_equals_taped_forward(units):
 
 def test_predict_logits_peak_memory_is_bounded():
     # a taped forward keeps every activation alive until the logits are
-    # out (2.6 MiB here); tape-free, each is freed early (0.35 MiB)
+    # out (2.57 MiB here); tape-free, each is freed early (0.35 MiB)
     net = StackedNet(mini_config(3, num_units=2), seed=0)
     x = small_input()
     net.predict_logits(x)
@@ -185,7 +189,7 @@ def test_predict_logits_peak_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 << 20
+    assert peak < 1 << 20
 
 
 def test_state_round_trip_through_container(tmp_path):
