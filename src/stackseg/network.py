@@ -81,9 +81,17 @@ class NetworkConfig:
         if set(self.loss_weights) - {4, 8, 16}:
             raise ConfigError(f"loss_weights keys {sorted(self.loss_weights)} "
                               "must be supervision ratios")
-        for name in ("growth", "skip_width"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+        profile = PROFILES.get(self.encoder)
+        if profile is None:
+            raise ConfigError("encoder matches neither MINI_ENCODER nor "
+                              "FULL_ENCODER")
+        # the profile fixes every width and depth: config_from_state reads
+        # only the encoder back, so any other value would write checkpoints
+        # that cannot be loaded
+        for name, want in profile.items():
+            if getattr(self, name) != want:
+                raise ConfigError(f"{name}={getattr(self, name)!r} differs "
+                                  f"from its encoder profile's {want!r}")
 
     def weight_for(self, ratio):
         return float(self.loss_weights.get(ratio, 1.0))
@@ -97,19 +105,28 @@ FULL_ENCODER = EncoderConfig(stem_channels=96, stem_kernel=7, stem_pool=3,
                              bottleneck=True)
 
 
+# the stack's widths and depths that go with each encoder
+PROFILES = {
+    MINI_ENCODER: dict(growth=8, down_widths=(24, 32), up_widths=(24, 16),
+                       down_layers=(2, 4), up_layers=(2, 2), skip_width=16),
+    FULL_ENCODER: dict(growth=48, down_widths=(768, 1024),
+                       up_widths=(768, 576), down_layers=(2, 4),
+                       up_layers=(2, 2), skip_width=192),
+}
+
+
 def mini_config(num_classes, num_units=1, supervision_ratios=(16, 8, 4)):
     """Desk-scale profile: same wiring as the full model, ~1000x smaller."""
     return NetworkConfig(num_classes, num_units, encoder=MINI_ENCODER,
-                         growth=8, down_widths=(24, 32), up_widths=(24, 16),
-                         skip_width=16, supervision_ratios=supervision_ratios)
+                         supervision_ratios=supervision_ratios,
+                         **PROFILES[MINI_ENCODER])
 
 
 def full_config(num_classes, num_units=1, supervision_ratios=(16, 8, 4)):
     """Benchmark-scale profile on the 161-layer densely connected encoder."""
     return NetworkConfig(num_classes, num_units, encoder=FULL_ENCODER,
-                         growth=48, down_widths=(768, 1024),
-                         up_widths=(768, 576), skip_width=192,
-                         supervision_ratios=supervision_ratios)
+                         supervision_ratios=supervision_ratios,
+                         **PROFILES[FULL_ENCODER])
 
 
 class DenseEncoder(Module):

@@ -8,6 +8,15 @@ keeps direct-loop versions of both ops as independent oracles. All ops
 follow the dtype of their inputs, so the same code runs in float32 for
 training and float64 for gradient checks.
 
+A training node keeps no activation-sized array the graph does not
+already hold (its parents), unless recomputing it would cost more than
+keeping it: batch norm recomputes ``xhat`` from its per-channel
+statistics, ReLU its mask, max pooling its window maxima and
+cross-entropy its log-probabilities, each from the parents and with the
+forward's own expressions, so gradients are bitwise those of kept
+copies. Still kept: the patch matrix of a strided, 1x1 or wide conv and
+dropout's bool mask.
+
 Layout conventions:
   activations  (n, c, h, w)
   conv weights (out_c, in_c, kh, kw), cross-correlation semantics
@@ -40,6 +49,19 @@ def _conv_out_size(size, k, s, p, d):
     return (size + 2 * p - eff) // s + 1
 
 
+def _pad(x, ph, pw, fill):
+    """(n, c, h, w) -> (n, c, h + 2ph, w + 2pw), the border set to ``fill``.
+
+    One filled buffer and a slice write: a fraction of ``np.pad``'s cost
+    on the small arrays of the mini profile.
+    """
+    n, c, h, w = x.shape
+    shape = (n, c, h + 2 * ph, w + 2 * pw)
+    xp = np.zeros(shape, x.dtype) if fill == 0 else np.full(shape, fill, x.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    return xp
+
+
 # ---------------------------------------------------------------------------
 # patch-matrix lowering
 
@@ -53,7 +75,7 @@ def _im2col(x, kh, kw, sh, sw, ph, pw, dh, dw, oh, ow):
     if kh == kw == 1 and sh == sw == 1 and ph == pw == 0:
         return x.reshape(n, c, h * w)
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        x = _pad(x, ph, pw, 0)
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
         y0 = i * dh
@@ -254,8 +276,14 @@ def deconv2d(x, w, stride=2, pad=1):
 
 
 def maxpool2d(x, kernel=2, stride=None, pad=0):
-    """Max pooling; backward routes each gradient to its argmax position
-    (the first maximum of the window on ties)."""
+    """Max pooling as a running ``np.maximum`` over the window's strided
+    taps (padding counts as -inf).
+
+    Backward routes each gradient to the first tap, in row-major order,
+    that equals the window's maximum: the argmax convention, with a NaN
+    window routed to its first NaN. Backward pools ``x`` again for the
+    maxima, so the node keeps neither them nor an index array.
+    """
     x = as_tensor(x)
     kh, kw = _pair(kernel)
     sh, sw = _pair(kernel if stride is None else stride)
@@ -271,29 +299,40 @@ def maxpool2d(x, kernel=2, stride=None, pad=0):
     oh = _conv_out_size(h, kh, sh, ph, 1)
     ow = _conv_out_size(iw, kw, sw, pw, 1)
 
-    xp = x.data
-    if ph or pw:
-        xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                    constant_values=-np.inf)
-    windows = np.empty((n, c, kh * kw, oh * ow), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            windows[:, :, i * kw + j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] \
-                .reshape(n, c, oh * ow)
-    idx = windows.argmax(axis=2)
-    out = np.take_along_axis(windows, idx[:, :, None], axis=2)[:, :, 0] \
-        .reshape(n, c, oh, ow)
+    def tap(a, i, j):
+        return a[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+
+    def pool():
+        """(padded x, output); backward calls it again rather than keep
+        either."""
+        xp = _pad(x.data, ph, pw, -np.inf) if ph or pw else x.data
+        out = tap(xp, 0, 0).copy()
+        for i, j in taps[1:]:
+            # the tap first: np.maximum returns its second argument on a
+            # tie (0.0 vs -0.0), so the earlier tap wins as for argmax
+            np.maximum(tap(xp, i, j), out, out=out)
+        return xp, out
 
     def backward_fn(g):
-        # one strided add per window tap; overlapping windows accumulate
-        tap = idx.reshape(n, c, oh, ow)
-        gx = np.zeros((n, c, h + 2 * ph, iw + 2 * pw), dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gx[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += g * (tap == i * kw + j)
+        xp, out = pool()
+        gx = np.zeros(xp.shape, dtype=g.dtype)
+
+        def route(match, found):
+            for i, j in taps:
+                eq = match(tap(xp, i, j))
+                hit = eq > found  # a match, and no earlier tap matched
+                found |= eq
+                tap(gx, i, j)[...] += g * hit
+            return found
+
+        found = route(lambda t: t == out, np.zeros(out.shape, dtype=bool))
+        if not found.all():  # a NaN maximum equals no tap: take the first NaN
+            route(np.isnan, found)
         return (gx[:, :, ph:ph + h, pw:pw + iw],)
 
-    return Tensor(out, (x,), backward_fn, op="maxpool2d")
+    return Tensor(pool()[1], (x,), backward_fn, op="maxpool2d")
 
 
 def resize_matrix(src, dst, dtype=np.float64):
@@ -364,7 +403,10 @@ def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.9):
 
     Training mode normalizes with batch statistics and folds them into
     ``state`` as running = momentum * running + (1 - momentum) * batch;
-    inference mode normalizes with ``state`` as-is.
+    inference mode normalizes with ``state`` as-is. Either way the node
+    keeps only the per-channel ``mean`` and ``inv_std`` it used; backward
+    recomputes ``xhat`` from ``x`` with the forward's own expressions, so
+    it is bitwise the value the forward normalized with.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     n, c, h, w = x.shape
@@ -376,50 +418,50 @@ def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.9):
     cshape = (1, c, 1, 1)
     if training:
         mean = x.data.mean(axis=(0, 2, 3))
-        xhat = x.data - mean.reshape(cshape)
-        var = np.einsum("nchw,nchw->c", xhat, xhat) / (n * h * w)
+        out = x.data - mean.reshape(cshape)
+        var = np.einsum("nchw,nchw->c", out, out) / (n * h * w)
         state.mean = (momentum * state.mean + (1.0 - momentum) * mean) \
             .astype(state.mean.dtype, copy=False)
         state.var = (momentum * state.var + (1.0 - momentum) * var) \
             .astype(state.var.dtype, copy=False)
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat *= inv_std.reshape(cshape)
-        a = gamma.data * inv_std
-        out = xhat * gamma.data.reshape(cshape)
+        out *= inv_std.reshape(cshape)
+        out *= gamma.data.reshape(cshape)
         out += beta.data.reshape(cshape)
     else:
         mean = state.mean.astype(x.data.dtype, copy=False)
         inv_std = 1.0 / np.sqrt(state.var.astype(x.data.dtype, copy=False) + eps)
-        xhat = None  # built only if a backward pass runs
         a = gamma.data * inv_std
         out = x.data * a.reshape(cshape)
         out += (beta.data - mean * a).reshape(cshape)
 
     def backward_fn(g):
-        xh = xhat if training else \
-            (x.data - mean.reshape(cshape)) * inv_std.reshape(cshape)
-        dgamma = np.einsum("nchw,nchw->c", g, xh)
+        xhat = (x.data - mean.reshape(cshape)) * inv_std.reshape(cshape)
+        a = gamma.data * inv_std
+        dgamma = np.einsum("nchw,nchw->c", g, xhat)
         dbeta = g.sum(axis=(0, 2, 3))
         gx = g * a.reshape(cshape)
         if training:
             # the batch statistics' own gradient, through dgamma and dbeta
             m = n * h * w
             gx -= (a * dbeta / m).reshape(cshape)
-            gx -= xh * (a * dgamma / m).reshape(cshape)
+            xhat *= (a * dgamma / m).reshape(cshape)
+            gx -= xhat
         return gx, dgamma, dbeta
 
     return Tensor(out, (x, gamma, beta), backward_fn, op="batch_norm")
 
 
 def relu(x):
+    """max(x, 0); backward passes ``g`` where ``x > 0``, read from the
+    parent rather than a kept mask."""
     x = as_tensor(x)
-    mask = x.data > 0
     # np.maximum rather than where(mask, ...): NaN must stay NaN so a
     # diverged run is caught instead of silently zeroed
     out = np.maximum(x.data, x.data.dtype.type(0))
 
     def backward_fn(g):
-        return (g * mask,)
+        return (g * (x.data > 0),)
 
     return Tensor(out, (x,), backward_fn, op="relu")
 
@@ -444,6 +486,17 @@ def dropout(x, keep_prob, training, rng=None):
     return Tensor(out, (x,), backward_fn, op="dropout")
 
 
+def _split_channels(widths):
+    """Backward of a channel concatenation: ``g`` sliced back into parts."""
+    bounds = [0]
+    for width in widths:
+        bounds.append(bounds[-1] + width)
+
+    def backward_fn(g):
+        return tuple(g[:, a:b] for a, b in zip(bounds, bounds[1:]))
+    return backward_fn
+
+
 def concat_channels(xs):
     xs = [as_tensor(t) for t in xs]
     if not xs:
@@ -457,14 +510,23 @@ def concat_channels(xs):
             )
     if len(xs) == 1:
         return xs[0]
-    widths = [t.shape[1] for t in xs]
     out = np.concatenate([t.data for t in xs], axis=1)
-    bounds = np.cumsum([0] + widths)
+    return Tensor(out, xs, _split_channels([t.shape[1] for t in xs]),
+                  op="concat")
 
-    def backward_fn(g):
-        return tuple(g[:, bounds[i]:bounds[i + 1]] for i in range(len(xs)))
 
-    return Tensor(out, xs, backward_fn, op="concat")
+def channel_prefix(buf, parts):
+    """The channel concatenation of ``parts`` as a node over a view of
+    ``buf``, into which the caller has already written each part at its
+    channel offset.
+
+    Nothing is copied; backward slices the gradient as
+    :func:`concat_channels` does. Dense blocks grow one buffer this way
+    instead of copying the running feature at every layer.
+    """
+    widths = [t.shape[1] for t in parts]
+    return Tensor(buf[:, :sum(widths)], parts, _split_channels(widths),
+                  op="concat")
 
 
 def eltwise_add(a, b):
@@ -525,11 +587,14 @@ def softmax_ce_loss(logits, labels, ignore_index=IGNORE_INDEX):
     loss = -(picked * valid).sum() / count
 
     def backward_fn(g):
-        grad = np.exp(logp)
-        label = safe[:, None]
+        # recomputed rather than kept: the closure holds only the caller's
+        # labels, no array of its own
+        keep = labels != ignore_index
+        grad = np.exp(log_softmax(logits.data))
+        label = np.where(keep, labels, 0)[:, None]
         np.put_along_axis(grad, label,
                           np.take_along_axis(grad, label, axis=1) - 1.0, axis=1)
-        grad *= valid[:, None].astype(dtype) / count
+        grad *= keep[:, None].astype(dtype) / count
         grad *= g
         return (grad,)
 

@@ -4,11 +4,17 @@ Activations are dense numpy arrays, almost always rank-4 ``(batch,
 channels, height, width)``; losses are rank-0. Every op in
 :mod:`stackseg.ops` produces a :class:`Tensor` that remembers its parents
 and a closure computing the parents' gradients, so a forward pass leaves
-behind the DAG needed for reverse-mode differentiation. Inside a
-:func:`no_grad` block tensors keep neither, so each op's intermediates
-(im2col patches, dropout and ReLU masks) are freed as soon as it
-returns. Tensors are never mutated after creation; :class:`Param` values
-are mutated only between optimizer steps.
+behind the DAG needed for reverse-mode differentiation; closures keep
+as little as they can (see :mod:`stackseg.ops`). Inside a
+:func:`no_grad` block tensors keep no graph at all, so each op's
+intermediates are freed as soon as it returns.
+
+:func:`backward` consumes the graph: each node drops its closure and its
+parents once its gradient has been passed on, so intermediates are freed
+as the walk goes and a second backward over the same graph raises
+:class:`UsageError`. Leaves keep their ``.grad``. Tensors are otherwise
+never mutated after creation; :class:`Param` values are mutated only
+between optimizer steps.
 """
 from __future__ import annotations
 
@@ -43,10 +49,12 @@ class Tensor:
     tuple of gradients, one per parent (``None`` for non-differentiable
     parents). Leaf tensors wrapping a :class:`Param` route their gradient
     into ``param.grad`` instead. Under :func:`no_grad` both ``parents``
-    and ``backward_fn`` are dropped.
+    and ``backward_fn`` are dropped; :func:`backward` replaces them with
+    ``()`` and :func:`_consumed` once the node's gradient is passed on.
     """
 
-    __slots__ = ("data", "grad", "parents", "backward_fn", "op", "param")
+    __slots__ = ("data", "grad", "parents", "backward_fn", "op", "param",
+                 "__weakref__")
 
     def __init__(self, data, parents=(), backward_fn=None, op="leaf", param=None):
         self.data = np.asarray(data)
@@ -97,11 +105,23 @@ def toposort(roots):
     return order
 
 
+_CONSUMED = ("backward already ran through this graph and freed it; "
+             "run the forward pass again")
+
+
+def _consumed(g):
+    raise UsageError(_CONSUMED)
+
+
 def backward(loss_nodes, loss_weights=None):
     """Accumulate d(sum_k w_k * loss_k)/dparam into every reachable Param.grad.
 
     ``loss_nodes`` must be scalar tensors produced by a forward pass run
-    outside :func:`no_grad`.
+    outside :func:`no_grad`. The walk consumes the graph: each node gives
+    up its ``backward_fn`` and ``parents`` as soon as it has passed its
+    gradient on, so an intermediate is freed once nothing but the graph
+    held it, and a second backward through any consumed node raises
+    :class:`UsageError`.
     """
     loss_nodes = list(loss_nodes)
     if not loss_nodes:
@@ -115,12 +135,13 @@ def backward(loss_nodes, loss_weights=None):
     for node in loss_nodes:
         if node.data.ndim != 0:
             raise UsageError(f"loss node {node!r} is not a scalar")
+        if node.backward_fn is _consumed:
+            raise UsageError(f"loss node {node!r}: {_CONSUMED}")
         if node.backward_fn is None and node.param is None \
                 and node.op != "leaf":
             raise UsageError(f"loss node {node!r} was built under no_grad "
                              "and has no graph to differentiate")
 
-    # keyed by id(): every node stays alive in loss_nodes or the order
     grads = {}  # id(node) -> accumulated ndarray
     for node, w in zip(loss_nodes, loss_weights):
         seed = np.asarray(w, dtype=node.data.dtype)
@@ -129,7 +150,11 @@ def backward(loss_nodes, loss_weights=None):
         else:
             grads[id(node)] = seed
 
-    for node in reversed(toposort(loss_nodes)):
+    # keyed by id(): a node stays alive in ``order`` until it is popped,
+    # and by then every consumer has already added its share
+    order = toposort(loss_nodes)
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -139,7 +164,9 @@ def backward(loss_nodes, loss_weights=None):
             node.grad = np.asarray(g)  # leaves keep their grad for checks
             continue
         parent_grads = node.backward_fn(g)
-        for parent, pg in zip(node.parents, parent_grads):
+        parents = node.parents
+        node.backward_fn, node.parents = _consumed, ()
+        for parent, pg in zip(parents, parent_grads):
             if pg is None:
                 continue
             if id(parent) in grads:

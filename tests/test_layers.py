@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stackseg import ConfigError, Tensor
+from stackseg import ConfigError, Tensor, backward, toposort
 from stackseg.layers import (
     BatchNormLayer,
     BnActConv,
@@ -13,6 +13,7 @@ from stackseg.layers import (
     avg_pool_half,
     he_normal,
 )
+from stackseg.ops import concat_channels
 
 
 def test_he_normal_scale():
@@ -97,6 +98,49 @@ def test_dense_block_growth(bottleneck):
         assert block.layers[0][0].conv.w.value.shape == (16, 10, 1, 1)
     with pytest.raises(ConfigError):
         DenseBlock("bad", 10, 0, 4, rng)
+
+
+def concat_block(block, x, training, rng):
+    """The dense block written with a full concat per layer."""
+    for steps in block.layers:
+        h = x
+        for step in steps:
+            h = step(h, training, rng)
+        x = concat_channels([x, h])
+    return x
+
+
+def weighted_sum(t, r):
+    return Tensor((t.data * r).sum(), (t,), lambda g: (r * g,), op="wsum")
+
+
+@pytest.mark.parametrize("bottleneck", [False, True])
+def test_dense_block_shares_one_buffer_and_equals_plain_concat(bottleneck):
+    block = DenseBlock("b", 5, 4, 3, np.random.default_rng(9),
+                       bottleneck=bottleneck, keep_prob=0.8)
+    data = np.random.default_rng(10).standard_normal((2, 5, 6, 6)) \
+        .astype(np.float32)
+    r = np.random.default_rng(11).standard_normal((2, 17, 6, 6)) \
+        .astype(np.float32)
+    grads = []
+    for run in (block, lambda *a: concat_block(block, *a)):
+        x = Tensor(data)
+        out = run(x, True, np.random.default_rng(12))
+        nodes = toposort([out])
+        if run is block:
+            prefixes = [t for t in nodes if t.op == "concat"]
+            assert len(prefixes) == 4
+            assert all(np.shares_memory(t.data, out.data) for t in prefixes)
+            assert sorted(t.shape[1] for t in prefixes) == [8, 11, 14, 17]
+            shared = out.data
+        else:
+            np.testing.assert_array_equal(out.data, shared)  # bitwise
+        for p in block.params():
+            p.zero_grad()
+        backward([weighted_sum(out, r)])
+        grads.append([x.grad] + [p.grad.copy() for p in block.params()])
+    for have, want in zip(*grads):
+        np.testing.assert_array_equal(have, want)
 
 
 def test_dense_block_dilation_keeps_size():

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 
 from stackseg import ConfigError, DataError, UsageError, backward
 from stackseg.network import (
+    MINI_ENCODER,
+    NetworkConfig,
     StackedNet,
     config_from_state,
     full_config,
@@ -34,6 +36,29 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         dataclasses.replace(mini_config(3), loss_weights={2: 1.0}).validate()
     mini_config(3, num_units=3).validate()  # fine
+
+
+@pytest.mark.parametrize("field,value", [
+    ("growth", 4), ("down_widths", (24, 24)), ("up_widths", (16, 16)),
+    ("down_layers", (2, 2)), ("up_layers", (1, 2)), ("skip_width", 8),
+])
+def test_config_rejects_widths_off_the_encoder_profile(field, value):
+    cfg = dataclasses.replace(mini_config(3), **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=field):
+        dataclasses.replace(full_config(3), **{field: value}).validate()
+
+
+def test_config_off_the_profile_is_refused_before_it_can_save():
+    # it used to build and train, then write a checkpoint that
+    # config_from_state rejects
+    with pytest.raises(ConfigError, match="growth"):
+        StackedNet(NetworkConfig(3, 1, encoder=MINI_ENCODER, growth=4))
+    assert NetworkConfig(3, 1, encoder=MINI_ENCODER) == mini_config(3)
+    odd = dataclasses.replace(MINI_ENCODER, growth=4)
+    with pytest.raises(ConfigError, match="encoder"):
+        NetworkConfig(3, 1, encoder=odd).validate()
 
 
 def test_forward_map_shapes_and_ratios():
@@ -104,6 +129,33 @@ def test_training_backward_reaches_every_param():
     untouched = [p.name for p in net.params()
                  if p._grad is None or not np.any(p._grad)]
     assert untouched == []
+
+
+def test_training_step_peak_memory_is_bounded():
+    # forward, losses and backward of one mini 2-unit step at batch 4, 64px:
+    # 17.9 MiB when every node kept xhat, masks and O(L^2) dense concats and
+    # backward kept the whole graph to the end; 10.0 MiB lean
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    rng = np.random.default_rng(0)
+    x = small_input(n=4)
+    labels = rng.integers(0, 3, size=(4, 64, 64))
+
+    def step():
+        maps = net.forward(x, training=True, rng=np.random.default_rng(1))
+        named = net.losses(maps, labels)
+        backward([l for _, l, _ in named], [w for _, _, w in named])
+        return maps
+
+    step()  # gradient buffers are allocated by the first step
+    tracemalloc.start()
+    try:
+        maps = step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 << 20
+    # the caller's score maps outlive backward; what fed them does not
+    assert all(m.parents == () for m in maps.values())
 
 
 def test_param_names_globally_unique():
@@ -179,7 +231,7 @@ def test_predict_logits_equals_taped_forward(units):
 
 def test_predict_logits_peak_memory_is_bounded():
     # a taped forward keeps every activation alive until the logits are
-    # out (2.57 MiB here); tape-free, each is freed early (0.35 MiB)
+    # out (2.18 MiB here); tape-free, each is freed early (0.35 MiB)
     net = StackedNet(mini_config(3, num_units=2), seed=0)
     x = small_input()
     net.predict_logits(x)

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from stackseg.ops import (
     BnState,
     batch_norm,
     bilinear_resize,
+    channel_prefix,
     concat_channels,
     conv2d,
     deconv2d,
@@ -442,3 +445,139 @@ def test_softmax_ce_mean_semantics():
     four = softmax_ce_loss(Tensor(np.tile(z, (1, 1, 2, 2))),
                            np.full((1, 2, 2), 2))
     assert_allclose(float(one.data), float(four.data), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# lean closures: a training node keeps no activation-sized array of its own
+
+
+def held_arrays(fn):
+    """Every ndarray reachable from a function's closure, through nested
+    functions, tuples and lists (Tensors are graph nodes and not entered)."""
+    found, todo = [], [fn]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:  # empty cell
+                    pass
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+    return found
+
+
+def bits(a):
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype(f"u{a.itemsize}"))
+
+
+def test_training_nodes_keep_no_activation_sized_array():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
+    nodes = [relu(x), maxpool2d(x, kernel=2),
+             maxpool2d(x, kernel=3, stride=2, pad=1)]
+    for node in nodes:
+        assert held_arrays(node.backward_fn) == [], node
+    # batch norm keeps its per-channel mean and inv_std, not xhat
+    bn = batch_norm(x, Tensor(np.ones(3, np.float32)),
+                    Tensor(np.zeros(3, np.float32)), BnState(3), training=True)
+    assert [a.shape for a in held_arrays(bn.backward_fn)] == [(3,), (3,)]
+    # the loss keeps the caller's own label map, and nothing it made itself
+    labels = rng.integers(0, 3, size=(2, 6, 6))
+    labels[0, 0, 0] = 255
+    loss = softmax_ce_loss(x, labels)
+    assert [a is labels for a in held_arrays(loss.backward_fn)] == [True]
+    # the check itself does see an array kept by a closure
+    assert len(held_arrays(dropout(x, 0.5, True,
+                                   np.random.default_rng(1)).backward_fn)) == 1
+
+
+def special_input(dtype, shape, seed):
+    """Random values with NaN, 0.0 and -0.0 planted in the first channel."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape).astype(dtype)
+    x[0, 0, 0, :3] = [np.nan, 0.0, -0.0]
+    x[-1, 0, -1, -3:] = [-0.0, -0.0, 0.0]
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_gradient_is_bitwise_the_kept_mask_formula(dtype):
+    x = special_input(dtype, (2, 3, 4, 5), 1)
+    g = np.random.default_rng(2).standard_normal(x.shape).astype(dtype)
+    g[1, 2, 3, :2] = [np.nan, -0.0]
+    (gx,) = relu(Tensor(x)).backward_fn(g)
+    np.testing.assert_array_equal(bits(gx), bits(g * (x > 0)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_norm_gradient_is_bitwise_the_kept_xhat_formula(dtype):
+    x = special_input(dtype, (3, 4, 5, 6), 3)  # channel 0 turns NaN
+    x[:, 2] = -0.0  # a constant channel: xhat is all zero
+    rng = np.random.default_rng(4)
+    gamma = rng.uniform(0.5, 2.0, 4).astype(dtype)
+    beta = rng.standard_normal(4).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta),
+                     BnState(4, dtype=dtype), training=True)
+    got = out.backward_fn(g)
+
+    # the formulas of a node that keeps xhat from its forward
+    c, m = (1, 4, 1, 1), x.size // 4
+    mean = x.mean(axis=(0, 2, 3))
+    xhat = x - mean.reshape(c)
+    var = np.einsum("nchw,nchw->c", xhat, xhat) / m
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    xhat *= inv_std.reshape(c)
+    a = gamma * inv_std
+    np.testing.assert_array_equal(
+        bits(out.data), bits(xhat * gamma.reshape(c) + beta.reshape(c)))
+    dgamma = np.einsum("nchw,nchw->c", g, xhat)
+    dbeta = g.sum(axis=(0, 2, 3))
+    gx = g * a.reshape(c)
+    gx -= (a * dbeta / m).reshape(c)
+    gx -= xhat * (a * dgamma / m).reshape(c)
+    assert np.isnan(gx[:, 0]).all() and not np.isnan(gx[:, 1:]).any()
+    for have, want in zip(got, (gx, dgamma, dbeta)):
+        np.testing.assert_array_equal(bits(have), bits(want))
+
+
+def test_maxpool2d_routes_to_the_first_max_of_tied_overlapping_windows():
+    rng = np.random.default_rng(5)
+    # four values, signed zeros among them: most windows hold a tie
+    x = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(2, 3, 9, 8))
+    g = rng.integers(-4, 5, size=(2, 3, 5, 4)).astype(np.float64)
+    out = maxpool2d(Tensor(x), kernel=3, stride=2, pad=1)
+    # the forward keeps the first of tied values, as the loops do
+    np.testing.assert_array_equal(
+        bits(out.data), bits(reference.maxpool2d_forward(x, 3, 2, 1)))
+    (gx,) = out.backward_fn(g)
+    # integer gradients: overlapping windows sum exactly in any order
+    np.testing.assert_array_equal(gx, reference.maxpool2d_backward(x, g, 3, 2, 1))
+
+
+def test_maxpool2d_routes_a_nan_window_to_its_first_nan():
+    x = Tensor(np.array([[1.0, np.nan], [np.nan, 2.0]]).reshape(1, 1, 2, 2))
+    out = maxpool2d(x, kernel=2)
+    assert np.isnan(out.data).all()
+    (gx,) = out.backward_fn(np.full((1, 1, 1, 1), 3.0))
+    np.testing.assert_array_equal(gx.ravel(), [0.0, 3.0, 0.0, 0.0])
+
+
+def test_channel_prefix_views_one_buffer_and_slices_grads():
+    rng = np.random.default_rng(6)
+    parts = [Tensor(rng.standard_normal((2, c, 3, 4))) for c in (3, 1, 2)]
+    buf = np.concatenate([t.data for t in parts] + [np.zeros((2, 5, 3, 4))],
+                         axis=1)
+    node = channel_prefix(buf, parts)
+    assert np.shares_memory(node.data, buf) and node.shape == (2, 6, 3, 4)
+    np.testing.assert_array_equal(node.data,
+                                  concat_channels(parts).data)
+    g = rng.standard_normal(node.shape)
+    for have, want in zip(node.backward_fn(g),
+                          concat_channels(parts).backward_fn(g)):
+        np.testing.assert_array_equal(have, want)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -139,3 +141,30 @@ def test_backward_rejects_loss_built_under_no_grad():
         leaf = Tensor(np.asarray(2.0))
     backward([leaf])
     assert_allclose(leaf.grad, 1.0)
+
+
+def test_backward_frees_interior_nodes_and_keeps_leaf_grads():
+    x = Tensor(np.array([1.0, -2.0]))
+    mid = scale(scale(x, 3.0), 2.0)
+    alive = weakref.ref(mid)
+    loss = to_scalar(mid)
+    del mid  # now only the graph holds it
+    assert alive() is not None
+    backward([loss])
+    assert alive() is None  # freed by the walk, while the loss node lives
+    assert loss.parents == ()
+    assert_allclose(x.grad, [6.0, 6.0])
+
+
+def test_second_backward_over_a_consumed_graph_raises():
+    x = Tensor(np.array([1.0, 2.0]))
+    y = scale(x, 2.0)
+    first = to_scalar(y)
+    backward([first])
+    with pytest.raises(UsageError, match="already ran") as err:
+        backward([first])
+    assert "no_grad" not in str(err.value)
+    # a new loss on a consumed part of the graph fails as well
+    with pytest.raises(UsageError, match="already ran"):
+        backward([to_scalar(scale(y, 1.0))])
+    assert_allclose(x.grad, [2.0, 2.0])  # untouched by the failed calls
