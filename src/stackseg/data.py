@@ -1,8 +1,8 @@
 """Image and label IO, dataset manifests, and a synthetic shapes task.
 
 Images travel as (3, h, w) float32 in [0, 1] (8-bit binary PPM on disk,
-value/255); label and prediction maps as (h, w) int64 (binary PGM), with
-255 reserved for ignored pixels.
+value/255); labels and predictions as (h, w) uint8 label maps (binary PGM),
+with 255 reserved for ignored pixels.
 
 A manifest is a text file of ``key = value`` header lines followed by one
 ``image<TAB>label`` row per sample (the label column may be omitted for
@@ -69,11 +69,12 @@ def _read_pnm(path, magic, channels):
         if n_bytes > left:
             raise DataError(f"{path}: truncated pixel data "
                             f"({left} of {n_bytes} bytes)")
-        raw = f.read(n_bytes)
-    if len(raw) != n_bytes:
+        pixels = np.empty((h, w, channels), dtype=np.uint8)  # writable
+        got = f.readinto(pixels)
+    if got != n_bytes:
         raise DataError(f"{path}: truncated pixel data "
-                        f"({len(raw)} of {n_bytes} bytes)")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, channels)
+                        f"({got} of {n_bytes} bytes)")
+    return pixels
 
 
 def read_ppm(path):
@@ -94,8 +95,9 @@ def write_ppm(path, image):
 
 
 def read_pgm(path):
-    """(h, w) int64 label/prediction map."""
-    return _read_pnm(path, b"P5", 1)[:, :, 0].astype(np.int64)
+    """(h, w) uint8 label maps and prediction maps, writable and
+    C-contiguous."""
+    return _read_pnm(path, b"P5", 1)[:, :, 0]
 
 
 def write_pgm(path, labels):
@@ -255,7 +257,7 @@ def synth_sample(rng, size=64, noise=0.08, name="sample"):
         + np.linspace(-0.04, 0.04, h, dtype=np.float32)[:, None]
     for c, base in enumerate(BG_COLOR):
         image[c] = base + ramp
-    labels = np.zeros((h, w), dtype=np.int64)
+    labels = np.zeros((h, w), dtype=np.uint8)
     yy, xx = np.mgrid[0:h, 0:w]
 
     for _ in range(rng.integers(1, 3)):

@@ -31,7 +31,11 @@ class EvalAccumulator:
             raise DataError(f"truth labels outside [0, {c})")
         if p.size and (p.min() < 0 or p.max() >= c):
             raise DataError(f"predicted labels outside [0, {c})")
-        self.matrix += np.bincount(t * c + p, minlength=c * c).reshape(c, c)
+        # widened first: t * c + p wraps in uint8 from 17 classes on; a
+        # float map still raises rather than being truncated
+        index = (t.astype(np.intp, casting="same_kind") * c
+                 + p.astype(np.intp, casting="same_kind"))
+        self.matrix += np.bincount(index, minlength=c * c).reshape(c, c)
 
     def _require_pixels(self):
         if self.matrix.sum() == 0:

@@ -553,6 +553,20 @@ def softmax_probs(z):
     return np.exp(log_softmax(z))
 
 
+def _label_index(labels, keep, c):
+    """Flat index into a C-ordered (n, c, h, w) array of each pixel's label
+    entry, class 0 where ``keep`` is False."""
+    n, h, w = labels.shape
+    hw = h * w
+    # widened before the multiply, as uint8 labels would wrap; float labels
+    # raise rather than being truncated
+    index = np.where(keep, labels, 0).astype(np.intp, casting="same_kind")
+    index *= hw
+    index += np.arange(0, n * c * hw, c * hw, dtype=np.intp)[:, None, None]
+    index += np.arange(hw, dtype=np.intp).reshape(h, w)
+    return index
+
+
 def softmax_ce_loss(logits, labels, ignore_index=IGNORE_INDEX):
     """Mean pixel-wise cross-entropy over non-ignored pixels.
 
@@ -582,18 +596,15 @@ def softmax_ce_loss(logits, labels, ignore_index=IGNORE_INDEX):
                       op="softmax_ce")
 
     logp = log_softmax(logits.data)
-    safe = np.where(valid, labels, 0)
-    picked = np.take_along_axis(logp, safe[:, None], axis=1)[:, 0]
+    picked = logp.reshape(-1)[_label_index(labels, valid, c)]
     loss = -(picked * valid).sum() / count
 
     def backward_fn(g):
         # recomputed rather than kept: the closure holds only the caller's
         # labels, no array of its own
         keep = labels != ignore_index
-        grad = np.exp(log_softmax(logits.data))
-        label = np.where(keep, labels, 0)[:, None]
-        np.put_along_axis(grad, label,
-                          np.take_along_axis(grad, label, axis=1) - 1.0, axis=1)
+        grad = np.ascontiguousarray(np.exp(log_softmax(logits.data)))
+        grad.reshape(-1)[_label_index(labels, keep, c)] -= 1.0
         grad *= keep[:, None].astype(dtype) / count
         grad *= g
         return (grad,)

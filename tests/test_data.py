@@ -52,9 +52,20 @@ def test_pgm_round_trip(tmp_path):
     path = tmp_path / "lab.pgm"
     write_pgm(path, labels)
     back = read_pgm(path)
-    assert back.dtype == np.int64 and (back == labels).all()
+    assert back.dtype == np.uint8 and (back == labels).all()
     with pytest.raises(DataError):
         write_pgm(tmp_path / "bad.pgm", labels + 1)  # 256 out of byte range
+
+
+def test_read_pgm_returns_a_writable_contiguous_uint8_map(tmp_path):
+    path = tmp_path / "lab.pgm"
+    path.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 1, 2, 20, 254, 255]))
+    back = read_pgm(path)
+    assert back.shape == (2, 3) and back.dtype == np.uint8
+    assert back.flags.c_contiguous and back.flags.writeable
+    assert back.tolist() == [[0, 1, 2], [20, 254, 255]]
+    back[0, 0] = 7  # the caller owns the buffer
+    assert back[0, 0] == 7
 
 
 def test_header_comments_and_whitespace(tmp_path):
@@ -195,6 +206,14 @@ def test_pad_to_multiple():
     assert (lab[:, 45:] == 255).all()
 
 
+def test_pad_to_multiple_keeps_uint8_labels():
+    labels = np.ones((30, 45), dtype=np.uint8)
+    _, lab = pad_to_multiple(np.zeros((3, 30, 45), np.float32), labels)
+    assert lab.dtype == np.uint8 and lab.shape == (32, 48)
+    assert (lab[:30, :45] == 1).all() and (lab[30:] == 255).all()
+    assert (lab[:, 45:] == 255).all()
+
+
 def test_pad_to_multiple_is_identity_when_aligned():
     image = np.zeros((3, 32, 32), dtype=np.float32)
     out, lab = pad_to_multiple(image, None)
@@ -255,6 +274,6 @@ def test_synth_dataset_deterministic_and_well_formed():
         assert (s1.image == s2.image).all() and (s1.labels == s2.labels).all()
     assert any((s1.image != s3.image).any() for s1, s3 in zip(a, other))
     for s in a:
-        assert s.image.dtype == np.float32 and s.labels.dtype == np.int64
+        assert s.image.dtype == np.float32 and s.labels.dtype == np.uint8
         assert s.image.min() >= 0.0 and s.image.max() <= 1.0
         assert set(np.unique(s.labels)) <= {0, 1, 2}

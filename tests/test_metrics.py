@@ -14,6 +14,24 @@ def test_confusion_matrix_layout_rows_truth_cols_pred():
     assert acc.matrix.tolist() == [[2, 1], [1, 2]]
 
 
+def test_uint8_maps_count_like_int64_at_21_classes():
+    # t * c + p wraps in uint8 from 17 classes on unless widened first
+    rng = np.random.default_rng(0)
+    truth = rng.integers(0, 21, (8, 9))
+    truth[0, :3] = [20, 255, 19]
+    pred = rng.integers(0, 21, (8, 9))
+    pred[0, :3] = [20, 3, 20]
+    narrow, wide = EvalAccumulator(21), EvalAccumulator(21)
+    narrow.update(truth.astype(np.uint8), pred.astype(np.uint8))
+    wide.update(truth, pred)
+    assert narrow.matrix.dtype == np.int64
+    assert (narrow.matrix == wide.matrix).all()
+    assert narrow.matrix.sum() == truth.size - 1
+    hand = EvalAccumulator(21)
+    hand.update(np.array([[20, 1]], np.uint8), np.array([[20, 1]], np.uint8))
+    assert hand.global_accuracy() == 1.0 and hand.matrix[20, 20] == 1
+
+
 def test_two_class_hand_values():
     # matrix [[3,1],[1,3]]: IoU0 = 3/5, IoU1 = 3/5, accuracy 6/8
     acc = EvalAccumulator(2)

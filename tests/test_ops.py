@@ -546,6 +546,39 @@ def test_batch_norm_gradient_is_bitwise_the_kept_xhat_formula(dtype):
         np.testing.assert_array_equal(bits(have), bits(want))
 
 
+@pytest.mark.parametrize("ignored", [0.25, 1.0])
+@pytest.mark.parametrize("c", [3, 21])
+@pytest.mark.parametrize("label_dtype", [np.uint8, np.int64])
+def test_softmax_ce_is_bitwise_the_along_axis_formula(label_dtype, c, ignored):
+    rng = np.random.default_rng(c)
+    z = rng.standard_normal((2, c, 5, 7)).astype(np.float32)
+    labels = rng.integers(0, c, (2, 5, 7)).astype(label_dtype)
+    labels[rng.random(labels.shape) < ignored] = 255
+    g = np.float32(0.75)
+    loss = softmax_ce_loss(Tensor(z), labels)
+    (gz,) = loss.backward_fn(g)
+    keep = labels != 255
+    count = int(keep.sum())
+    if count == 0:  # everything ignored: zero loss, zero gradient
+        want_loss, want_gz = np.float32(0.0), np.zeros_like(z)
+    else:
+        logp = ops.log_softmax(z)
+        safe = np.where(keep, labels, 0)[:, None]
+        picked = np.take_along_axis(logp, safe, axis=1)[:, 0]
+        want_loss = np.asarray(-(picked * keep).sum() / count, np.float32)
+        want_gz = np.exp(logp)
+        np.put_along_axis(
+            want_gz, safe, np.take_along_axis(want_gz, safe, axis=1) - 1.0,
+            axis=1)
+        want_gz *= keep[:, None].astype(np.float32) / count
+        want_gz *= g
+    np.testing.assert_array_equal(bits(loss.data), bits(want_loss))
+    np.testing.assert_array_equal(bits(gz), bits(want_gz))
+    # logits in another memory order index the same entries
+    (gf,) = softmax_ce_loss(Tensor(np.asfortranarray(z)), labels).backward_fn(g)
+    np.testing.assert_array_equal(bits(gf), bits(want_gz))
+
+
 def test_maxpool2d_routes_to_the_first_max_of_tied_overlapping_windows():
     rng = np.random.default_rng(5)
     # four values, signed zeros among them: most windows hold a tie

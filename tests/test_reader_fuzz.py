@@ -234,5 +234,5 @@ def test_read_pnm_returns_or_raises_data_error(tmp_path, pnm_files, data):
             assert got.shape == (3, h, w) and got.dtype == np.float32
             got = np.rint(got.transpose(1, 2, 0) * 255)
         else:
-            assert got.shape == (h, w) and got.dtype == np.int64
+            assert got.shape == (h, w) and got.dtype == np.uint8
         assert np.array_equal(got.reshape(-1), pixels)

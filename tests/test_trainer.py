@@ -116,6 +116,18 @@ def test_augment_mirror():
     assert_allclose(flipped_img, plain_img[:, :, ::-1])
 
 
+def test_augment_keeps_uint8_labels_and_pads_them_with_ignore():
+    wide = asym_sample(64)
+    narrow = Sample(wide.image, wide.labels.astype(np.uint8), "s")
+    cfg = base_cfg(scales=(0.25,), hflip_prob=1.0)  # pads, then mirrors
+    img, lab = augment(narrow, cfg, np.random.default_rng(0), fill=[0.5] * 3)
+    want_img, want_lab = augment(wide, cfg, np.random.default_rng(0),
+                                 fill=[0.5] * 3)
+    assert lab.dtype == np.uint8 and lab.flags.c_contiguous
+    assert (lab == 255).sum() == 32 * 32 - 16 * 16
+    assert (lab == want_lab).all() and (img == want_img).all()
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(crop=30).validate()
@@ -163,6 +175,21 @@ def test_train_is_reproducible_for_fixed_seed():
     assert h1[-1]["total_loss"] == h2[-1]["total_loss"]
     for a, b in zip(n1.params(), n2.params()):
         assert (a.value == b.value).all(), a.name
+
+
+def test_train_on_uint8_labels_is_bitwise_the_int64_run():
+    samples = synth_dataset(4, size=40, seed=12)  # crops 32: some pad
+    assert all(s.labels.dtype == np.uint8 for s in samples)
+    wide = [Sample(s.image, s.labels.astype(np.int64), s.name)
+            for s in samples]
+    cfg = TrainConfig(max_iter=3, batch_size=2, crop=32, seed=8)
+    nets = [StackedNet(mini_config(3, num_units=2), seed=0) for _ in range(2)]
+    train(nets[0], samples, cfg)
+    train(nets[1], wide, cfg)
+    a, b = (n.state_dict() for n in nets)
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].tobytes() == b[name].tobytes(), name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf weights on purpose
