@@ -7,13 +7,15 @@ the two routes keep each other honest.
 
 Conventions: BN affine pairs count as parameters, running statistics do
 not; depth counts convs and deconvs on the input-to-prediction path (the
-entry compression and the final score head included, lateral skip
+entry conv and the final score head included, lateral skip
 projections and auxiliary heads not); the receptive field is reported
 for one decoder-entry pixel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .network import DOWN_LAYERS, UP_LAYERS
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ def _dense_block(in_c, layers, growth, bottleneck):
 
 
 def _up_stage(in_c, skip_c, layers, growth, out_c):
-    """Deconv + dense block + optional compression; returns (params, out)."""
+    """Deconv + dense block + optional 3x3 to out_c; returns (params, out)."""
     total = _bn(in_c) + in_c * in_c * 16  # width-preserving 4x4 deconv
     block, c = _dense_block(in_c + skip_c, layers, growth, bottleneck=False)
     total += block
@@ -61,28 +63,29 @@ def _down_stage(in_c, skip_c, layers, growth, out_c):
     return block + _bn(c) + _conv(c, out_c, 3, bias=True), out_c
 
 
-def encoder_accounting(enc):
-    """(params, out_channels, skip_channels, depth, rf_chain) for an
-    EncoderConfig; rf_chain is (kernel, stride, dilation) per spatial op."""
-    c = enc.stem_channels
-    params = _conv(3, c, enc.stem_kernel) + _bn(c)
+def encoder_accounting(p):
+    """(params, out_channels, skip_channels, depth, rf_chain) of a
+    Profile's encoder; rf_chain is (kernel, stride, dilation) per spatial
+    op."""
+    c = p.stem_channels
+    params = _conv(3, c, p.stem_kernel) + _bn(c)
     depth = 1
-    chain = [(enc.stem_kernel, 2, 1), (enc.stem_pool, 2, 1)]
+    chain = [(p.stem_kernel, 2, 1), (p.stem_pool, 2, 1)]
     skips = {}
-    n_stages = len(enc.block_layers)
-    for i, layers in enumerate(enc.block_layers):
+    n_stages = len(p.block_layers)
+    for i, layers in enumerate(p.block_layers):
         last = i == n_stages - 1
         dilation = 2 if last else 1
-        block, c = _dense_block(c, layers, enc.growth, enc.bottleneck)
+        block, c = _dense_block(c, layers, p.growth, p.bottleneck)
         params += block
-        depth += layers * (2 if enc.bottleneck else 1)
+        depth += layers * (2 if p.bottleneck else 1)
         chain += [(3, 1, dilation)] * layers
         if i == 0:
             skips[4] = c
         elif i == 1:
             skips[8] = c
         if not last:
-            out = int(c * enc.compression)
+            out = c // 2
             params += _bn(c) + _conv(c, out, 1)
             depth += 1
             if i < 2:
@@ -102,16 +105,18 @@ def receptive_field(chain):
 
 
 def architecture_report(cfg):
+    cfg.validate()
+    prof = cfg.profile
     enc_params, enc_out, enc_skips, enc_depth, chain = \
-        encoder_accounting(cfg.encoder)
-    sw, ew, g = cfg.skip_width, cfg.entry_width, cfg.growth
-    uw, dw = cfg.up_widths, cfg.down_widths
+        encoder_accounting(prof)
+    sw, ew, g = prof.skip_width, prof.entry_width, prof.growth
+    uw, dw = prof.up_widths, prof.down_widths
     sections = {"encoder": enc_params}
     sections["skips"] = sum(_bn(enc_skips[r]) + _conv(enc_skips[r], sw, 3)
                             for r in (4, 8))
     sections["entry"] = _conv(enc_out, ew, 3, bias=True)
     depth = enc_depth + 1
-    chain = chain + [(3, 1, 1)]  # entry compression sees the 1/16 feature
+    chain = chain + [(3, 1, 1)]  # the entry conv sees the 1/16 feature
 
     heads = []
     head_params = 0
@@ -119,18 +124,18 @@ def architecture_report(cfg):
         first, last = i == 0, i == cfg.num_units - 1
         unit = 0
         if not first:
-            p, _ = _down_stage(uw[1], uw[0], cfg.down_layers[0], g, dw[0])
+            p, _ = _down_stage(uw[1], uw[0], DOWN_LAYERS[0], g, dw[0])
             unit += p
-            p, _ = _down_stage(dw[0], ew, cfg.down_layers[1], g, dw[1])
+            p, _ = _down_stage(dw[0], ew, DOWN_LAYERS[1], g, dw[1])
             unit += p
-            depth += cfg.down_layers[0] + 1 + cfg.down_layers[1] + 1
-        p, _ = _up_stage(ew, sw, cfg.up_layers[0], g, uw[0])
+            depth += DOWN_LAYERS[0] + 1 + DOWN_LAYERS[1] + 1
+        p, _ = _up_stage(ew, sw, UP_LAYERS[0], g, uw[0])
         unit += p
-        p, ratio4_width = _up_stage(uw[0], sw, cfg.up_layers[1], g,
+        p, ratio4_width = _up_stage(uw[0], sw, UP_LAYERS[1], g,
                                     None if last else uw[1])
         unit += p
-        depth += (1 + cfg.up_layers[0] + 1) + (1 + cfg.up_layers[1] +
-                                               (0 if last else 1))
+        depth += (1 + UP_LAYERS[0] + 1) + (1 + UP_LAYERS[1] +
+                                           (0 if last else 1))
         sections[f"unit{i + 1}"] = unit
         widths = {16: ew, 8: uw[0], 4: ratio4_width}
         for r in cfg.supervision_ratios:

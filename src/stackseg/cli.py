@@ -21,12 +21,10 @@ from .data import IGNORE_INDEX, load_samples, pad_to_multiple, read_pgm, \
 from .errors import ConfigError, DataError, DivergenceError, UsageError
 from .gradcheck import composite_check, primitive_sweep
 from .metrics import EvalAccumulator
-from .network import StackedNet, config_from_state, full_config, \
-    mini_config, predict_ms_flip
+from .network import PROFILES, NetworkConfig, StackedNet, \
+    config_from_state, predict_ms_flip
 from .trainer import TrainConfig, train
 from .weights_io import load_weights, save_weights
-
-_PROFILES = {"mini": mini_config, "full": full_config}
 
 
 def _parse_csv(text, kind, what):
@@ -73,7 +71,7 @@ def cmd_train(args):
     meta, samples = load_samples(args.data)
     classes = _num_classes(args, meta)
     ratios = _parse_csv(args.supervision, int, "supervision ratios")
-    cfg = _PROFILES[args.profile](classes, args.units, supervision_ratios=ratios)
+    cfg = NetworkConfig(classes, args.units, PROFILES[args.profile], ratios)
     net = StackedNet(cfg, seed=args.seed)
     tcfg = TrainConfig(base_lr=args.lr, batch_size=args.batch, crop=args.crop,
                        max_iter=args.iters, seed=args.seed,
@@ -130,13 +128,15 @@ def cmd_eval(args):
 
 
 def cmd_analyze(args):
-    make = _PROFILES[args.profile]
-    report = architecture_report(make(args.classes, args.units))
+    profile = PROFILES[args.profile]
+    cfg = NetworkConfig(args.classes, args.units, profile)
+    report = architecture_report(cfg)
     print(f"profile={args.profile} classes={args.classes} units={args.units}")
     print(format_report(report))
     status = 0
     if args.sweep > 1:
-        totals = [architecture_report(make(args.classes, u)).params_total
+        totals = [architecture_report(NetworkConfig(args.classes, u,
+                                                    profile)).params_total
                   for u in range(1, args.sweep + 1)]
         deltas = [b - a for a, b in zip(totals, totals[1:])]
         for u, total in enumerate(totals, 1):
@@ -148,7 +148,7 @@ def cmd_analyze(args):
         if not constant:
             status = 1
     if args.check_built:
-        net = StackedNet(make(args.classes, args.units), seed=0)
+        net = StackedNet(cfg, seed=0)
         match = count_network_params(net) == report.params_by_section
         print(f"built_matches_closed_form={str(match).lower()}")
         if not match:
@@ -192,7 +192,7 @@ def build_parser():
     p = sub.add_parser("train", help="train on a manifest dataset")
     p.add_argument("--data", required=True, help="manifest path")
     p.add_argument("--out", required=True, help="weights output path")
-    p.add_argument("--profile", choices=sorted(_PROFILES), default="mini")
+    p.add_argument("--profile", choices=sorted(PROFILES), default="mini")
     p.add_argument("--units", type=int, default=2)
     p.add_argument("--classes", type=int, default=0,
                    help="overrides the manifest's num_classes")
@@ -223,7 +223,7 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="closed-form architecture accounting")
-    p.add_argument("--profile", choices=sorted(_PROFILES), default="full")
+    p.add_argument("--profile", choices=sorted(PROFILES), default="full")
     p.add_argument("--units", type=int, default=1)
     p.add_argument("--classes", type=int, default=21)
     p.add_argument("--sweep", type=int, default=0,

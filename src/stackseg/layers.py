@@ -194,7 +194,7 @@ class DenseBlock(Module):
 
 
 class TransitionDown(Module):
-    """Between-stage compression: BN-ReLU-1x1 conv, then optional 2x2 mean
+    """Between-stage transition: BN-ReLU-1x1 conv, then optional 2x2 mean
     pool (stages that dilate instead keep their resolution)."""
 
     def __init__(self, name, in_c, out_c, rng, pool=True):

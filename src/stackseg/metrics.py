@@ -23,6 +23,10 @@ class EvalAccumulator:
         if truth.shape != predicted.shape:
             raise DataError(f"shape mismatch: truth {truth.shape} vs "
                             f"predicted {predicted.shape}")
+        for name, a in (("truth", truth), ("predicted", predicted)):
+            if not np.can_cast(a.dtype, np.intp, "same_kind"):
+                raise DataError(f"{name} labels must be integers, not "
+                                f"{a.dtype}")
         keep = truth != self.ignore_index
         t = truth[keep].ravel()
         p = predicted[keep].ravel()
@@ -31,8 +35,7 @@ class EvalAccumulator:
             raise DataError(f"truth labels outside [0, {c})")
         if p.size and (p.min() < 0 or p.max() >= c):
             raise DataError(f"predicted labels outside [0, {c})")
-        # widened first: t * c + p wraps in uint8 from 17 classes on; a
-        # float map still raises rather than being truncated
+        # widened first: t * c + p wraps in uint8 from 17 classes on
         index = (t.astype(np.intp, casting="same_kind") * c
                  + p.astype(np.intp, casting="same_kind"))
         self.matrix += np.bincount(index, minlength=c * c).reshape(c, c)

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import architecture_report
 from .data import IGNORE_INDEX, pad_to_multiple
 from .errors import ConfigError, DataError, UsageError
 from .layers import BatchNormLayer, BnActConv, ConvLayer, DenseBlock, \
@@ -32,45 +31,55 @@ from .tensor import Tensor, no_grad
 
 SIZE_MULTIPLE = 16  # inputs must divide evenly down to the deepest scale
 KEEP_PROB = 0.8  # dropout keep probability of every stacked-unit conv
+DOWN_LAYERS = (2, 4)  # dense layers of a unit's two down stages
+UP_LAYERS = (2, 2)  # and of its two up stages, in both profiles
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
+class Profile:
+    """Every fixed value of one model size: the dense encoder, the growth
+    of every dense block, and the widths of the stacked units."""
     stem_channels: int
     stem_kernel: int
     stem_pool: int  # stem max-pool kernel (2 or 3), stride always 2
     block_layers: tuple
-    growth: int
     bottleneck: bool
-    compression: float = 0.5
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    num_classes: int
-    num_units: int = 1
-    encoder: EncoderConfig = None
-    growth: int = 8
-    down_widths: tuple = (24, 32)
-    up_widths: tuple = (24, 16)
-    down_layers: tuple = (2, 4)
-    up_layers: tuple = (2, 2)
-    skip_width: int = 16
-    supervision_ratios: tuple = (16, 8, 4)
-    loss_weights: dict = field(default_factory=dict)
+    growth: int
+    down_widths: tuple
+    up_widths: tuple
+    skip_width: int
 
     @property
     def entry_width(self):
         """Every unit hands the next one a decoder entry of this width."""
         return self.down_widths[1]
 
+
+PROFILES = {
+    # desk scale: same wiring as the full model, ~1000x smaller
+    "mini": Profile(stem_channels=16, stem_kernel=3, stem_pool=2,
+                    block_layers=(2, 2, 2), bottleneck=False, growth=8,
+                    down_widths=(24, 32), up_widths=(24, 16), skip_width=16),
+    # benchmark scale, on the 161-layer densely connected encoder
+    "full": Profile(stem_channels=96, stem_kernel=7, stem_pool=3,
+                    block_layers=(6, 12, 36, 24), bottleneck=True, growth=48,
+                    down_widths=(768, 1024), up_widths=(768, 576),
+                    skip_width=192),
+}
+
+
+@dataclass(frozen=True)
+class NetworkConfig:
+    num_classes: int
+    num_units: int
+    profile: Profile
+    supervision_ratios: tuple = (16, 8, 4)
+
     def validate(self):
         if self.num_classes < 2:
             raise ConfigError(f"num_classes={self.num_classes}, need >= 2")
         if self.num_units < 1:
             raise ConfigError(f"num_units={self.num_units}, need >= 1")
-        if self.encoder is None:
-            raise ConfigError("missing encoder config")
         ratios = tuple(self.supervision_ratios)
         if not ratios or set(ratios) - {4, 8, 16} or len(set(ratios)) != len(ratios):
             raise ConfigError(f"supervision_ratios {ratios} must be distinct "
@@ -78,55 +87,20 @@ class NetworkConfig:
         if 4 not in ratios:
             raise ConfigError("supervision_ratios must include 4: the final "
                               "prediction reads the fused ratio-4 map")
-        if set(self.loss_weights) - {4, 8, 16}:
-            raise ConfigError(f"loss_weights keys {sorted(self.loss_weights)} "
-                              "must be supervision ratios")
-        profile = PROFILES.get(self.encoder)
-        if profile is None:
-            raise ConfigError("encoder matches neither MINI_ENCODER nor "
-                              "FULL_ENCODER")
-        # the profile fixes every width and depth: config_from_state reads
-        # only the encoder back, so any other value would write checkpoints
-        # that cannot be loaded
-        for name, want in profile.items():
-            if getattr(self, name) != want:
-                raise ConfigError(f"{name}={getattr(self, name)!r} differs "
-                                  f"from its encoder profile's {want!r}")
-
-    def weight_for(self, ratio):
-        return float(self.loss_weights.get(ratio, 1.0))
-
-
-MINI_ENCODER = EncoderConfig(stem_channels=16, stem_kernel=3, stem_pool=2,
-                             block_layers=(2, 2, 2), growth=8,
-                             bottleneck=False)
-FULL_ENCODER = EncoderConfig(stem_channels=96, stem_kernel=7, stem_pool=3,
-                             block_layers=(6, 12, 36, 24), growth=48,
-                             bottleneck=True)
-
-
-# the stack's widths and depths that go with each encoder
-PROFILES = {
-    MINI_ENCODER: dict(growth=8, down_widths=(24, 32), up_widths=(24, 16),
-                       down_layers=(2, 4), up_layers=(2, 2), skip_width=16),
-    FULL_ENCODER: dict(growth=48, down_widths=(768, 1024),
-                       up_widths=(768, 576), down_layers=(2, 4),
-                       up_layers=(2, 2), skip_width=192),
-}
+        # config_from_state reads only the stem width back, so any other
+        # profile would write checkpoints that cannot be loaded
+        if self.profile not in PROFILES.values():
+            raise ConfigError("profile matches no entry of PROFILES")
 
 
 def mini_config(num_classes, num_units=1, supervision_ratios=(16, 8, 4)):
-    """Desk-scale profile: same wiring as the full model, ~1000x smaller."""
-    return NetworkConfig(num_classes, num_units, encoder=MINI_ENCODER,
-                         supervision_ratios=supervision_ratios,
-                         **PROFILES[MINI_ENCODER])
+    return NetworkConfig(num_classes, num_units, PROFILES["mini"],
+                         supervision_ratios)
 
 
 def full_config(num_classes, num_units=1, supervision_ratios=(16, 8, 4)):
-    """Benchmark-scale profile on the 161-layer densely connected encoder."""
-    return NetworkConfig(num_classes, num_units, encoder=FULL_ENCODER,
-                         supervision_ratios=supervision_ratios,
-                         **PROFILES[FULL_ENCODER])
+    return NetworkConfig(num_classes, num_units, PROFILES["full"],
+                         supervision_ratios)
 
 
 class DenseEncoder(Module):
@@ -139,19 +113,19 @@ class DenseEncoder(Module):
     1/8 for use as skips.
     """
 
-    def __init__(self, name, cfg, rng):
-        c = cfg.stem_channels
-        self.stem = ConvLayer(f"{name}.stem", 3, c, cfg.stem_kernel, rng,
+    def __init__(self, name, p, rng):
+        c = p.stem_channels
+        self.stem = ConvLayer(f"{name}.stem", 3, c, p.stem_kernel, rng,
                               stride=2)
         self.stem_bn = BatchNormLayer(f"{name}.stem_bn", c)
-        self.stem_pool = cfg.stem_pool
+        self.stem_pool = p.stem_pool
         self.stages = []  # (dense block, transition or None)
         self.skip_channels = {}
-        n_stages = len(cfg.block_layers)
-        for i, depth in enumerate(cfg.block_layers):
+        n_stages = len(p.block_layers)
+        for i, depth in enumerate(p.block_layers):
             last = i == n_stages - 1
-            block = DenseBlock(f"{name}.block{i + 1}", c, depth, cfg.growth,
-                               rng, bottleneck=cfg.bottleneck,
+            block = DenseBlock(f"{name}.block{i + 1}", c, depth, p.growth,
+                               rng, bottleneck=p.bottleneck,
                                dilation=2 if last else 1)
             c = block.out_channels
             if i == 0:
@@ -160,7 +134,7 @@ class DenseEncoder(Module):
                 self.skip_channels[8] = c
             trans = None
             if not last:
-                out = int(c * cfg.compression)
+                out = c // 2
                 trans = TransitionDown(f"{name}.trans{i + 1}", c, out, rng,
                                        pool=i < 2)
                 c = out
@@ -206,7 +180,7 @@ class DownStage(Module):
 class UpStage(Module):
     """Double resolution with a width-preserving transposed conv, merge
     the encoder skip projection, grow dense features, and compress;
-    the last unit's final stage skips compression and stays wide."""
+    the last unit's final stage stays wide."""
 
     def __init__(self, name, in_c, skip_c, num_layers, growth, out_c, rng):
         self.up = UpsampleLayer(f"{name}.up", in_c, in_c, rng)
@@ -234,22 +208,21 @@ class StackUnit(Module):
     stages. Stage widths are shared across units, which is what lets the
     stack grow to any depth."""
 
-    def __init__(self, name, cfg, rng, first, last):
+    def __init__(self, name, p, rng, first, last):
         self.first = first
         self.down1 = self.down2 = None
         if not first:
-            self.down1 = DownStage(f"{name}.down1", cfg.up_widths[1],
-                                   cfg.up_widths[0], cfg.down_layers[0],
-                                   cfg.growth, cfg.down_widths[0], rng)
-            self.down2 = DownStage(f"{name}.down2", cfg.down_widths[0],
-                                   cfg.entry_width, cfg.down_layers[1],
-                                   cfg.growth, cfg.down_widths[1], rng)
-        self.up1 = UpStage(f"{name}.up1", cfg.entry_width, cfg.skip_width,
-                           cfg.up_layers[0], cfg.growth, cfg.up_widths[0],
-                           rng)
-        self.up2 = UpStage(f"{name}.up2", cfg.up_widths[0], cfg.skip_width,
-                           cfg.up_layers[1], cfg.growth,
-                           None if last else cfg.up_widths[1], rng)
+            self.down1 = DownStage(f"{name}.down1", p.up_widths[1],
+                                   p.up_widths[0], DOWN_LAYERS[0], p.growth,
+                                   p.down_widths[0], rng)
+            self.down2 = DownStage(f"{name}.down2", p.down_widths[0],
+                                   p.entry_width, DOWN_LAYERS[1], p.growth,
+                                   p.down_widths[1], rng)
+        self.up1 = UpStage(f"{name}.up1", p.entry_width, p.skip_width,
+                           UP_LAYERS[0], p.growth, p.up_widths[0], rng)
+        self.up2 = UpStage(f"{name}.up2", p.up_widths[0], p.skip_width,
+                           UP_LAYERS[1], p.growth,
+                           None if last else p.up_widths[1], rng)
 
 
 class StackedNet:
@@ -258,22 +231,23 @@ class StackedNet:
     def __init__(self, config, seed=0):
         config.validate()
         self.config = config
+        p = config.profile
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.encoder = DenseEncoder("encoder", config.encoder, rng)
+        self.encoder = DenseEncoder("encoder", p, rng)
         self.skip4 = BnActConv("skip4", self.encoder.skip_channels[4],
-                               config.skip_width, 3, rng)
+                               p.skip_width, 3, rng)
         self.skip8 = BnActConv("skip8", self.encoder.skip_channels[8],
-                               config.skip_width, 3, rng)
+                               p.skip_width, 3, rng)
         # encoder output is already BN+ReLU normalized; a bare conv suffices
         self.entry = ConvLayer("entry", self.encoder.out_channels,
-                               config.entry_width, 3, rng, bias=True)
-        self.units = [StackUnit(f"unit{i + 1}", config, rng,
+                               p.entry_width, 3, rng, bias=True)
+        self.units = [StackUnit(f"unit{i + 1}", p, rng,
                                 first=i == 0,
                                 last=i == config.num_units - 1)
                       for i in range(config.num_units)]
         self.heads = {}
         for i, unit in enumerate(self.units):
-            widths = {16: config.entry_width, 8: config.up_widths[0],
+            widths = {16: p.entry_width, 8: p.up_widths[0],
                       4: unit.up2.out_channels}
             for r in config.supervision_ratios:
                 self.heads[(i, r)] = ConvLayer(f"unit{i + 1}.head{r}",
@@ -364,7 +338,8 @@ class StackedNet:
         return maps
 
     def losses(self, maps, labels, ignore_index=IGNORE_INDEX):
-        """(name, loss, weight) per head, upsampled to the label size."""
+        """(name, loss, weight) per head, upsampled to the label size; the
+        heads add at equal weight, so every weight is 1.0."""
         labels = np.asarray(labels)
         if labels.ndim != 3:
             raise DataError(f"labels must be (n, h, w), got {labels.shape}")
@@ -373,7 +348,7 @@ class StackedNet:
         for i, r in sorted(maps, key=lambda k: (k[0], -k[1])):
             up = bilinear_resize(maps[(i, r)], h, w)
             loss = softmax_ce_loss(up, labels, ignore_index)
-            out.append((f"unit{i + 1}.r{r}", loss, self.config.weight_for(r)))
+            out.append((f"unit{i + 1}.r{r}", loss, 1.0))
         return out
 
     def predict_logits(self, x):
@@ -406,9 +381,9 @@ def config_from_state(state):
     """
     stem = state.get("encoder.stem.w")
     width = stem.shape[0] if stem is not None and stem.ndim else None
-    make = {MINI_ENCODER.stem_channels: mini_config,
-            FULL_ENCODER.stem_channels: full_config}.get(width)
-    if make is None:
+    profile = next((p for p in PROFILES.values()
+                    if p.stem_channels == width), None)
+    if profile is None:
         raise DataError(f"encoder.stem.w width {width} matches no profile")
     heads = {}
     for name, value in state.items():
@@ -422,14 +397,15 @@ def config_from_state(state):
     # ratio; this also bounds units by the number of tensors in the file
     if len(heads) != units * len(ratios) or len(classes) != 1:
         raise DataError("score heads missing or unlike across units")
+    from .analyzer import architecture_report  # it imports this module
+
+    cfg = NetworkConfig(classes.pop(), units, profile, ratios)
     try:
-        cfg = make(classes.pop(), units, supervision_ratios=ratios)
-        cfg.validate()
+        expected = architecture_report(cfg).params_total
     except ConfigError as e:
         raise DataError(f"stored tensors describe no valid network: {e}")
     stored = sum(v.size for name, v in state.items()
                  if not name.endswith((".running_mean", ".running_var")))
-    expected = architecture_report(cfg).params_total
     if expected != stored:
         raise DataError(f"a {units}-unit, {cfg.num_classes}-class network "
                         f"has {expected} parameters but {stored} are stored")

@@ -558,8 +558,7 @@ def _label_index(labels, keep, c):
     entry, class 0 where ``keep`` is False."""
     n, h, w = labels.shape
     hw = h * w
-    # widened before the multiply, as uint8 labels would wrap; float labels
-    # raise rather than being truncated
+    # widened before the multiply, as uint8 labels would wrap
     index = np.where(keep, labels, 0).astype(np.intp, casting="same_kind")
     index *= hw
     index += np.arange(0, n * c * hw, c * hw, dtype=np.intp)[:, None, None]
@@ -580,6 +579,9 @@ def softmax_ce_loss(logits, labels, ignore_index=IGNORE_INDEX):
         raise DataError(
             f"softmax_ce_loss: labels shape {labels.shape} != {(n, h, w)}"
         )
+    if not np.can_cast(labels.dtype, np.intp, "same_kind"):
+        raise DataError(
+            f"softmax_ce_loss: labels must be integers, not {labels.dtype}")
     valid = labels != ignore_index
     bad = valid & ((labels < 0) | (labels >= c))
     if bad.any():

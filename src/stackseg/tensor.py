@@ -113,8 +113,8 @@ def _consumed(g):
     raise UsageError(_CONSUMED)
 
 
-def backward(loss_nodes, loss_weights=None):
-    """Accumulate d(sum_k w_k * loss_k)/dparam into every reachable Param.grad.
+def backward(loss_nodes):
+    """Accumulate d(sum_k loss_k)/dparam into every reachable Param.grad.
 
     ``loss_nodes`` must be scalar tensors produced by a forward pass run
     outside :func:`no_grad`. The walk consumes the graph: each node gives
@@ -126,12 +126,6 @@ def backward(loss_nodes, loss_weights=None):
     loss_nodes = list(loss_nodes)
     if not loss_nodes:
         raise UsageError("backward called with no loss nodes")
-    if loss_weights is None:
-        loss_weights = [1.0] * len(loss_nodes)
-    if len(loss_weights) != len(loss_nodes):
-        raise UsageError(
-            f"{len(loss_nodes)} loss nodes but {len(loss_weights)} weights"
-        )
     for node in loss_nodes:
         if node.data.ndim != 0:
             raise UsageError(f"loss node {node!r} is not a scalar")
@@ -143,8 +137,8 @@ def backward(loss_nodes, loss_weights=None):
                              "and has no graph to differentiate")
 
     grads = {}  # id(node) -> accumulated ndarray
-    for node, w in zip(loss_nodes, loss_weights):
-        seed = np.asarray(w, dtype=node.data.dtype)
+    for node in loss_nodes:
+        seed = np.asarray(1.0, dtype=node.data.dtype)
         if id(node) in grads:
             grads[id(node)] = grads[id(node)] + seed
         else:

@@ -44,13 +44,6 @@ class TrainConfig:
             raise ConfigError(f"bad aspects {self.aspects}")
 
 
-def benchmark_profile(**overrides):
-    """Settings for full-scale runs: batch 10, 320px crops, long horizon."""
-    base = dict(batch_size=10, crop=320, max_iter=30000)
-    base.update(overrides)
-    return TrainConfig(**base)
-
-
 def poly_lr(base_lr, iteration, max_iter, power=0.9):
     """base * (1 - it/max_iter)^power, clamped to 0 past the horizon."""
     if max_iter <= 0:
@@ -140,14 +133,14 @@ def train(net, samples, cfg, log_fn=None):
         maps = net.forward(x, training=True, rng=drop_rng)
         named = net.losses(maps, y)
         head_losses = {name: float(loss.data) for name, loss, _ in named}
-        total = sum(w * float(loss.data) for _, loss, w in named)
+        total = sum(head_losses.values())
         for name, value in head_losses.items():
             if not np.isfinite(value):
                 raise DivergenceError(
                     f"non-finite loss at iteration {it}: head {name} = "
                     f"{value} (lr was {lr:.3g})")
 
-        backward([loss for _, loss, _ in named], [w for _, _, w in named])
+        backward([loss for _, loss, _ in named])
         sgd_step(params, lr)
 
         history.append({"iteration": it, "lr": lr, "total_loss": total,

@@ -65,7 +65,7 @@ def network_spot_check(seed, num_coords=12, step=2e-4):
 
     maps = net.forward(x)
     named = net.losses(maps, labels)
-    backward([loss for _, loss, _ in named], [w for _, _, w in named])
+    backward([loss for _, loss, _ in named])
 
     worst = 0.0
     for p in rng.choice(len(params), size=num_coords, replace=False):

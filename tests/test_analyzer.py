@@ -15,7 +15,7 @@ from stackseg.analyzer import (
 )
 from stackseg.layers import ConvLayer
 from stackseg.network import (
-    FULL_ENCODER,
+    PROFILES,
     DenseEncoder,
     StackedNet,
     full_config,
@@ -55,7 +55,7 @@ def test_mini_head_inventory():
 
 
 def test_full_encoder_accounting():
-    params, out_c, skips, depth, chain = encoder_accounting(FULL_ENCODER)
+    params, out_c, skips, depth, chain = encoder_accounting(PROFILES["full"])
     assert params == 26_472_000
     assert out_c == 2208
     assert skips == {4: 384, 8: 768}
@@ -65,8 +65,8 @@ def test_full_encoder_accounting():
 
 
 def test_full_encoder_built_matches_closed_form():
-    params, out_c, _, _, _ = encoder_accounting(FULL_ENCODER)
-    enc = DenseEncoder("enc", FULL_ENCODER, np.random.default_rng(0))
+    params, out_c, _, _, _ = encoder_accounting(PROFILES["full"])
+    enc = DenseEncoder("enc", PROFILES["full"], np.random.default_rng(0))
     assert sum(p.value.size for p in enc.params()) == params
     assert enc.out_channels == out_c
 

@@ -101,6 +101,16 @@ def test_analyze_sweep_and_check_built(capsys):
     assert "built_matches_closed_form=true" in out
 
 
+@pytest.mark.parametrize("flag,value", [("--units", "0"), ("--classes", "1")])
+def test_analyze_rejects_an_invalid_config(flag, value, capsys):
+    argv = ["analyze", "--profile", "mini", "--units", "1", "--classes", "3"]
+    argv[argv.index(flag) + 1] = value
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "params_total" not in captured.out
+    assert captured.err.startswith("error:")
+
+
 def test_gradcheck_command(capsys):
     assert run(["gradcheck", "--seeds", "1", "--composite-seeds", "1"]) == 0
     out = capsys.readouterr().out

@@ -91,6 +91,14 @@ def test_summary_keys():
     assert s["per_class_iou"] == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("side", ["truth", "predicted"])
+def test_float_label_maps_raise_data_error(side):
+    maps = {"truth": np.array([[[0, 1]]]), "predicted": np.array([[[0, 1]]])}
+    maps[side] = np.array([[[0.5, 1.0]]])
+    with pytest.raises(DataError, match=side):
+        EvalAccumulator(2).update(maps["truth"], maps["predicted"])
+
+
 def test_errors():
     acc = EvalAccumulator(2)
     with pytest.raises(DataError):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stackseg import ConfigError, DataError, UsageError, backward
+from stackseg import ConfigError, DataError, Tensor, UsageError, backward
 from stackseg.network import (
-    MINI_ENCODER,
+    PROFILES,
     NetworkConfig,
     StackedNet,
     config_from_state,
@@ -33,32 +33,28 @@ def test_config_validation():
         mini_config(3, supervision_ratios=(8,)).validate()  # no final map
     with pytest.raises(ConfigError):
         mini_config(3, supervision_ratios=(4, 4)).validate()
-    with pytest.raises(ConfigError):
-        dataclasses.replace(mini_config(3), loss_weights={2: 1.0}).validate()
     mini_config(3, num_units=3).validate()  # fine
 
 
 @pytest.mark.parametrize("field,value", [
     ("growth", 4), ("down_widths", (24, 24)), ("up_widths", (16, 16)),
-    ("down_layers", (2, 2)), ("up_layers", (1, 2)), ("skip_width", 8),
+    ("skip_width", 8),
 ])
 def test_config_rejects_widths_off_the_encoder_profile(field, value):
-    cfg = dataclasses.replace(mini_config(3), **{field: value})
-    with pytest.raises(ConfigError, match=field):
-        cfg.validate()
-    with pytest.raises(ConfigError, match=field):
-        dataclasses.replace(full_config(3), **{field: value}).validate()
+    # every width takes part in the table lookup
+    for make in (mini_config, full_config):
+        cfg = make(3)
+        odd = dataclasses.replace(cfg.profile, **{field: value})
+        with pytest.raises(ConfigError, match="PROFILES"):
+            dataclasses.replace(cfg, profile=odd).validate()
 
 
 def test_config_off_the_profile_is_refused_before_it_can_save():
-    # it used to build and train, then write a checkpoint that
-    # config_from_state rejects
-    with pytest.raises(ConfigError, match="growth"):
-        StackedNet(NetworkConfig(3, 1, encoder=MINI_ENCODER, growth=4))
-    assert NetworkConfig(3, 1, encoder=MINI_ENCODER) == mini_config(3)
-    odd = dataclasses.replace(MINI_ENCODER, growth=4)
-    with pytest.raises(ConfigError, match="encoder"):
-        NetworkConfig(3, 1, encoder=odd).validate()
+    # such a network would write a checkpoint config_from_state rejects
+    assert NetworkConfig(3, 1, PROFILES["mini"]) == mini_config(3)
+    odd = dataclasses.replace(PROFILES["mini"], growth=4)
+    with pytest.raises(ConfigError, match="PROFILES"):
+        StackedNet(NetworkConfig(3, 1, odd))
 
 
 def test_forward_map_shapes_and_ratios():
@@ -106,17 +102,31 @@ def test_score_fusion_is_running_sum_across_units():
 
 
 def test_losses_names_weights_and_order():
-    cfg = dataclasses.replace(mini_config(3, num_units=2),
-                              loss_weights={4: 2.0})
-    net = StackedNet(cfg, seed=0)
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
     labels = np.random.default_rng(1).integers(0, 3, size=(1, 64, 64))
     named = net.losses(net.forward(small_input()), labels)
     assert [n for n, _, _ in named] == [
         "unit1.r16", "unit1.r8", "unit1.r4",
         "unit2.r16", "unit2.r8", "unit2.r4"]
-    weights = {n: w for n, _, w in named}
-    assert weights["unit1.r4"] == 2.0 and weights["unit2.r16"] == 1.0
+    assert all(w == 1.0 for _, _, w in named)
     assert all(np.isfinite(float(l.data)) for _, l, _ in named)
+
+
+def test_the_api_perfbench_calls():
+    # perfbench/ is outside the Tier-1 run, so a changed signature would
+    # break the benchmark without failing a test here
+    assert mini_config(3, num_units=2).num_units == 2
+    full_config(3, num_units=1).validate()
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    labels = np.random.default_rng(1).integers(0, 3, size=(1, 64, 64))
+    named = net.losses(net.forward(small_input()), labels, 255)
+    assert len(named) == 6
+    for name, loss, weight in named:
+        assert isinstance(name, str) and isinstance(loss, Tensor)
+        assert weight == 1.0 and isinstance(weight, float)
+    pred, probs = predict_ms_flip(net, small_input()[0], return_probs=True)
+    assert pred.shape == (64, 64) and probs.shape == (3, 64, 64)
+    assert np.allclose(probs.sum(axis=0), 1.0)
 
 
 def test_training_backward_reaches_every_param():
@@ -125,7 +135,7 @@ def test_training_backward_reaches_every_param():
     maps = net.forward(small_input(n=2), training=True,
                        rng=np.random.default_rng(3))
     named = net.losses(maps, labels)
-    backward([l for _, l, _ in named], [w for _, _, w in named])
+    backward([l for _, l, _ in named])
     untouched = [p.name for p in net.params()
                  if p._grad is None or not np.any(p._grad)]
     assert untouched == []
@@ -143,7 +153,7 @@ def test_training_step_peak_memory_is_bounded():
     def step():
         maps = net.forward(x, training=True, rng=np.random.default_rng(1))
         named = net.losses(maps, labels)
-        backward([l for _, l, _ in named], [w for _, _, w in named])
+        backward([l for _, l, _ in named])
         return maps
 
     step()  # gradient buffers are allocated by the first step
@@ -287,8 +297,9 @@ def test_config_from_state_inverts_state_dict(make, units, ratios):
 def test_full_profile_config_builds_report_sizes():
     cfg = full_config(21, num_units=2)
     cfg.validate()
-    assert cfg.encoder.bottleneck
-    assert cfg.down_widths == (768, 1024) and cfg.up_widths == (768, 576)
+    assert cfg.profile.bottleneck
+    assert cfg.profile.down_widths == (768, 1024)
+    assert cfg.profile.up_widths == (768, 576)
 
 
 def test_ms_flip_skips_tiny_scales_and_predicts():

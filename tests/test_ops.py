@@ -438,6 +438,13 @@ def test_softmax_ce_rejects_bad_labels():
         softmax_ce_loss(t, np.zeros((1, 3, 3), dtype=int))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_ce_rejects_float_labels(dtype):
+    t = Tensor(np.zeros((1, 3, 1, 2)))
+    with pytest.raises(DataError, match="integers"):
+        softmax_ce_loss(t, np.array([[[0.5, 1.0]]], dtype=dtype))
+
+
 def test_softmax_ce_mean_semantics():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((1, 3, 1, 1))

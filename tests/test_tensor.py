@@ -52,13 +52,13 @@ def test_backward_accumulates_through_shared_node():
     assert_allclose(x.grad, [2.0, 2.0])
 
 
-def test_backward_multiple_weighted_losses():
+def test_backward_sums_multiple_losses():
     x = Tensor(np.array([1.0, 2.0]))
     l1 = to_scalar(scale(x, 1.0))
     l2 = to_scalar(scale(x, 10.0))
-    backward([l1, l2], loss_weights=[0.5, 2.0])
-    # d/dx (0.5 * sum(x) + 2 * sum(10x)) = 0.5 + 20
-    assert_allclose(x.grad, [20.5, 20.5])
+    backward([l1, l2, l2])
+    # d/dx (sum(x) + 2 * sum(10x)) = 1 + 20
+    assert_allclose(x.grad, [21.0, 21.0])
 
 
 def test_backward_rejects_bad_calls():
@@ -67,8 +67,6 @@ def test_backward_rejects_bad_calls():
         backward([])
     with pytest.raises(UsageError):
         backward([x])  # not a scalar
-    with pytest.raises(UsageError):
-        backward([to_scalar(x)], loss_weights=[1.0, 2.0])
 
 
 def test_param_grad_accumulation_and_reset():

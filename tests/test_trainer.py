@@ -11,7 +11,6 @@ from stackseg.network import StackedNet, mini_config
 from stackseg.trainer import (
     TrainConfig,
     augment,
-    benchmark_profile,
     evaluate,
     poly_lr,
     sgd_step,
@@ -137,8 +136,6 @@ def test_train_config_validation():
         TrainConfig(scales=()).validate()
     with pytest.raises(ConfigError):
         TrainConfig(aspects=(0.0,)).validate()
-    benchmark_profile().validate()
-    assert benchmark_profile(max_iter=5).max_iter == 5
 
 
 # ---------------------------------------------------------------------------
