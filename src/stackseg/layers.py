@@ -70,13 +70,12 @@ class Module:
 
 
 class ConvLayer(Module):
-    """Bare convolution; pad defaults to size-preserving for odd kernels."""
+    """Bare convolution, padded to keep the size for odd kernels."""
 
-    def __init__(self, name, in_c, out_c, kernel, rng, stride=1, pad=None,
-                 dilation=1, bias=False):
-        if pad is None:
-            pad = dilation * (kernel - 1) // 2
-        self.stride, self.pad, self.dilation = stride, pad, dilation
+    def __init__(self, name, in_c, out_c, kernel, rng, stride=1, dilation=1,
+                 bias=False):
+        self.stride, self.dilation = stride, dilation
+        self.pad = dilation * (kernel - 1) // 2
         fan_in = in_c * kernel * kernel
         self.w = Param(he_normal(rng, (out_c, in_c, kernel, kernel), fan_in),
                        f"{name}.w")
@@ -92,9 +91,8 @@ class ConvLayer(Module):
 
 
 class BatchNormLayer(Module):
-    def __init__(self, name, channels, eps=1e-5, momentum=0.9):
+    def __init__(self, name, channels):
         self.name = name
-        self.eps, self.momentum = eps, momentum
         self.gamma = Param(np.ones(channels, dtype=np.float32),
                            f"{name}.gamma", decay_exempt=True)
         self.beta = Param(np.zeros(channels, dtype=np.float32),
@@ -103,17 +101,17 @@ class BatchNormLayer(Module):
 
     def __call__(self, x, training=False):
         return batch_norm(x, self.gamma.as_tensor(), self.beta.as_tensor(),
-                          self.state, training, self.eps, self.momentum)
+                          self.state, training)
 
 
 class BnActConv(Module):
     """BN -> ReLU -> conv, with optional dropout on the conv output."""
 
-    def __init__(self, name, in_c, out_c, kernel, rng, stride=1, pad=None,
-                 dilation=1, bias=False, keep_prob=1.0):
+    def __init__(self, name, in_c, out_c, kernel, rng, dilation=1,
+                 bias=False, keep_prob=1.0):
         self.bn = BatchNormLayer(f"{name}.bn", in_c)
         self.conv = ConvLayer(f"{name}.conv", in_c, out_c, kernel, rng,
-                              stride, pad, dilation, bias)
+                              dilation=dilation, bias=bias)
         self.keep_prob = keep_prob
 
     def __call__(self, x, training=False, rng=None):
@@ -122,18 +120,16 @@ class BnActConv(Module):
 
 
 class UpsampleLayer(Module):
-    """BN -> ReLU -> 4x4 stride-2 transposed conv; doubles height/width."""
+    """BN -> ReLU -> 4x4 transposed conv at ``deconv2d``'s default stride 2
+    and pad 1; doubles height/width."""
 
-    def __init__(self, name, in_c, out_c, rng, kernel=4, stride=2, pad=1):
+    def __init__(self, name, in_c, out_c, rng):
         self.bn = BatchNormLayer(f"{name}.bn", in_c)
-        self.stride, self.pad = stride, pad
-        fan_in = in_c * kernel * kernel
-        self.w = Param(he_normal(rng, (in_c, out_c, kernel, kernel), fan_in),
+        self.w = Param(he_normal(rng, (in_c, out_c, 4, 4), in_c * 4 * 4),
                        f"{name}.w")
 
     def __call__(self, x, training=False):
-        return deconv2d(relu(self.bn(x, training)), self.w.as_tensor(),
-                        stride=self.stride, pad=self.pad)
+        return deconv2d(relu(self.bn(x, training)), self.w.as_tensor())
 
 
 class DenseBlock(Module):

@@ -1,12 +1,16 @@
 """Primitive differentiable operations on rank-4 tensors.
 
-Convolution and its transpose are lowered to batched GEMMs. Stride-1
+Convolution is lowered to batched GEMMs by three array functions: the
+forward correlation, its input gradient and its weight gradient. Stride-1
 convs with a narrow output multiply each kernel tap's weights against a
-shifted slice of the padded input; strided, 1x1 and wide convs and the
-transposed conv go through patch matrices (im2col). ``tests/reference.py``
-keeps direct-loop versions of both ops as independent oracles. All ops
-follow the dtype of their inputs, so the same code runs in float32 for
-training and float64 for gradient checks.
+shifted slice of the padded input; strided, 1x1 and wide convs go
+through patch matrices (im2col). The transposed conv is the adjoint of
+the conv, so it lowers through the same three functions with input and
+output swapped: its forward is the correlation's input gradient, and its
+input gradient is the correlation. ``tests/reference.py`` keeps
+direct-loop versions of both ops as independent oracles. All ops follow
+the dtype of their inputs, so the same code runs in float32 for training
+and float64 for gradient checks.
 
 A training node keeps no activation-sized array the graph does not
 already hold (its parents), unless recomputing it would cost more than
@@ -14,30 +18,25 @@ keeping it: batch norm recomputes ``xhat`` from its per-channel
 statistics, ReLU its mask, max pooling its window maxima and
 cross-entropy its log-probabilities, each from the parents and with the
 forward's own expressions, so gradients are bitwise those of kept
-copies. Still kept: the patch matrix of a strided, 1x1 or wide conv and
-dropout's bool mask.
+copies. Still kept: the patch matrix of a strided, 1x1 or wide conv (or
+of the transposed conv's gradient) and dropout's bool mask.
 
 Layout conventions:
   activations  (n, c, h, w)
   conv weights (out_c, in_c, kh, kw), cross-correlation semantics
   deconv weights (in_c, out_c, kh, kw); ``deconv2d(y, w)`` is the exact
   adjoint of ``conv2d(x, w)`` for a shared weight array
+Stride, padding and dilation are scalars, shared by both spatial axes.
 """
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
 from .data import IGNORE_INDEX
 from .errors import ConfigError, DataError
 from .tensor import Tensor
-
-
-def _pair(v):
-    if isinstance(v, (tuple, list)):
-        if len(v) != 2:
-            raise ConfigError(f"expected scalar or pair, got {v!r}")
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
 
 
 def as_tensor(x):
@@ -49,54 +48,54 @@ def _conv_out_size(size, k, s, p, d):
     return (size + 2 * p - eff) // s + 1
 
 
-def _pad(x, ph, pw, fill):
-    """(n, c, h, w) -> (n, c, h + 2ph, w + 2pw), the border set to ``fill``.
+def _tap(a, i, j, s, oh, ow):
+    """The (oh, ow) view of ``a`` whose entry (y, x) is ``a[:, :, i + s*y,
+    j + s*x]``: one kernel tap's input at every output position."""
+    return a[:, :, i:i + s * oh:s, j:j + s * ow:s]
+
+
+def _pad(x, ph, pw, fill=0):
+    """(n, c, h, w) -> (n, c, h + 2ph, w + 2pw), the border set to ``fill``;
+    ``x`` itself when there is no border.
 
     One filled buffer and a slice write: a fraction of ``np.pad``'s cost
     on the small arrays of the mini profile.
     """
+    if ph == pw == 0:
+        return x
     n, c, h, w = x.shape
     shape = (n, c, h + 2 * ph, w + 2 * pw)
     xp = np.zeros(shape, x.dtype) if fill == 0 else np.full(shape, fill, x.dtype)
-    xp[:, :, ph:ph + h, pw:pw + w] = x
+    _tap(xp, ph, pw, 1, h, w)[...] = x
     return xp
 
 
 # ---------------------------------------------------------------------------
 # patch-matrix lowering
 
-def _im2col(x, kh, kw, sh, sw, ph, pw, dh, dw, oh, ow):
-    """(n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix.
+def _im2col(x, kh, kw, s, d, oh, ow):
+    """Padded (n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix.
 
-    A 1x1, stride-1, unpadded kernel's patch matrix is ``x`` itself, so
-    that case returns a reshaped view instead of a copy.
+    A 1x1 stride-1 kernel's patch matrix is ``x`` itself, so that case
+    returns a reshaped view instead of a copy.
     """
-    n, c, h, w = x.shape
-    if kh == kw == 1 and sh == sw == 1 and ph == pw == 0:
-        return x.reshape(n, c, h * w)
-    if ph or pw:
-        x = _pad(x, ph, pw, 0)
+    n, c = x.shape[:2]
+    if kh * kw == 1 and s == 1:
+        return x.reshape(n, c, oh * ow)
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        y0 = i * dh
-        for j in range(kw):
-            x0 = j * dw
-            cols[:, :, i, j] = x[:, :, y0:y0 + sh * oh:sh, x0:x0 + sw * ow:sw]
+    for i, j in product(range(kh), range(kw)):
+        cols[:, :, i, j] = _tap(x, i * d, j * d, s, oh, ow)
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 
-def _col2im(cols, x_shape, kh, kw, sh, sw, ph, pw, dh, dw, oh, ow):
-    """Adjoint of :func:`_im2col`: scatter-add patches back onto the image."""
-    n, c, h, w = x_shape
-    buf = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+def _col2im(cols, shape, kh, kw, s, d, oh, ow):
+    """Adjoint of :func:`_im2col`: scatter-add patches onto a zero padded
+    image of ``shape``."""
+    n, c = shape[:2]
+    buf = np.zeros(shape, dtype=cols.dtype)
     cols = cols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        y0 = i * dh
-        for j in range(kw):
-            x0 = j * dw
-            buf[:, :, y0:y0 + sh * oh:sh, x0:x0 + sw * ow:sw] += cols[:, :, i, j]
-    if ph or pw:
-        return buf[:, :, ph:ph + h, pw:pw + w]
+    for i, j in product(range(kh), range(kw)):
+        _tap(buf, i * d, j * d, s, oh, ow)[...] += cols[:, :, i, j]
     return buf
 
 
@@ -120,18 +119,86 @@ def _col2im(cols, x_shape, kh, kw, sh, sw, ph, pw, dh, dw, oh, ow):
 _SLICE_MAX_CO = 192
 
 
-def _pad_flat(x, ph, pw):
-    """Zero-pad (n, c, h, w) by ph rows above, ph + 1 below and pw columns
+def _pad_flat(x, p):
+    """Zero-pad (n, c, h, w) by p rows above, p + 1 below and p columns
     each side; return it flattened to (n, c, Hp*Wp), and Wp.
 
     The extra row lets the last tap's slice run past the bottom-right
     corner by up to Wp - 1 elements without leaving the buffer.
     """
     n, c, h, w = x.shape
-    wp = w + 2 * pw
-    xp = np.zeros((n, c, h + 2 * ph + 1, wp), dtype=x.dtype)
-    xp[:, :, ph:ph + h, pw:pw + w] = x
+    wp = w + 2 * p
+    xp = np.zeros((n, c, h + 2 * p + 1, wp), dtype=x.dtype)
+    _tap(xp, p, p, 1, h, w)[...] = x
     return xp.reshape(n, c, -1), wp
+
+
+def _correlate(x, w, s, p, d):
+    """Forward of :func:`conv2d` on arrays, without bias: (out, cols).
+
+    ``cols`` is the patch matrix the weight gradient reuses, or None when
+    the output came from tap slices.
+    """
+    n, ci, h, iw = x.shape
+    co, _, kh, kw = w.shape
+    oh, ow = _conv_out_size(h, kh, s, p, d), _conv_out_size(iw, kw, s, p, d)
+    if s == 1 and kh * kw > 1 and co <= _SLICE_MAX_CO:
+        xf, wp = _pad_flat(x, p)
+        span = oh * wp
+        taps = [i * d * wp + j * d for i, j in product(range(kh), range(kw))]
+        w_taps = w.transpose(2, 3, 0, 1).reshape(kh * kw, co, ci)
+        acc = np.matmul(w_taps[0], xf[:, :, :span])
+        tmp = np.empty_like(acc)
+        for t, o in enumerate(taps[1:], 1):
+            acc += np.matmul(w_taps[t], xf[:, :, o:o + span], out=tmp)
+        return acc.reshape(n, co, oh, wp)[:, :, :, :ow], None
+    cols = _im2col(_pad(x, p, p), kh, kw, s, d, oh, ow)
+    return np.matmul(w.reshape(co, -1), cols).reshape(n, co, oh, ow), cols
+
+
+def _correlate_gx(g, w, x_shape, s, p, d):
+    """Input gradient of :func:`_correlate`: ``g`` (n, co, oh, ow) mapped
+    back to an array of ``x_shape``."""
+    n, co, oh, ow = g.shape
+    ci, kh, kw = w.shape[1:]
+    h, iw = x_shape[2:]
+    # With stride 1 the input gradient is a correlation of g, padded by
+    # d*(k-1) - p, with the flipped kernel (Dumoulin & Visin 2016): im2col
+    # over co*k*k rows instead of col2im over ci*k*k, and dense growth
+    # layers have co << ci. A negative pad would crop, so that case and
+    # strided convs scatter through col2im. The pad is per axis, as
+    # kernels may be non-square.
+    qh, qw = d * (kh - 1) - p, d * (kw - 1) - p
+    if s == 1 and qh >= 0 and qw >= 0:
+        w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
+        gcols = _im2col(_pad(g, qh, qw), kh, kw, 1, d, h, iw)
+        return np.matmul(w_flip, gcols).reshape(x_shape)
+    gcols = np.matmul(w.reshape(co, -1).T, g.reshape(n, co, oh * ow))
+    buf = _col2im(gcols, (n, ci, h + 2 * p, iw + 2 * p), kh, kw, s, d, oh, ow)
+    return _tap(buf, p, p, 1, h, iw)
+
+
+def _correlate_gw(g, x, cols, w_shape, s, p, d):
+    """Weight gradient of :func:`_correlate`: one GEMM against the kept
+    patch matrix ``cols`` or, after tap slices (``cols`` None), the
+    stacked tap GEMM that :func:`conv2d` describes."""
+    n, co, oh, ow = g.shape
+    if cols is not None:
+        return np.matmul(g.reshape(n, co, oh * ow), cols.transpose(0, 2, 1)) \
+            .sum(axis=0).reshape(w_shape)
+    ci, kh, kw = w_shape[1:]
+    xf, wp = _pad_flat(x, p)
+    span = oh * wp
+    g_ext = np.zeros((n, co, oh, wp), dtype=g.dtype)
+    g_ext[:, :, :, :ow] = g
+    g_ext = g_ext.reshape(n, co, span)
+    g_taps = np.zeros((n, kh * kw, co, xf.shape[2]), dtype=g.dtype)
+    for t, (i, j) in enumerate(product(range(kh), range(kw))):
+        o = i * d * wp + j * d
+        g_taps[:, t, :, o:o + span] = g_ext
+    gw = np.matmul(g_taps.reshape(n, -1, xf.shape[2]),
+                   xf.transpose(0, 2, 1)).sum(axis=0)
+    return gw.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1)
 
 
 def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
@@ -142,7 +209,7 @@ def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
     - **Tap slices** (stride 1, kernel larger than 1x1, ``co <=
       _SLICE_MAX_CO``). ``x`` is padded once and flattened to ``xf`` of
       shape (n, ci, Hp*Wp); tap (i, j) is then the contiguous slice
-      starting at ``i*dh*Wp + j*dw``, and ``out = sum_ij W[:, :, i, j] @
+      starting at ``i*d*Wp + j*d``, and ``out = sum_ij W[:, :, i, j] @
       slice_ij`` at width Wp, of which the last ``Wp - ow`` columns are
       dropped. The weight gradient is one GEMM of k^2 shifted, zero-
       extended copies of ``g`` against ``xf``, re-padded in backward, so
@@ -156,10 +223,7 @@ def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
     The crossover table sits beside ``_SLICE_MAX_CO``.
     """
     x, w = as_tensor(x), as_tensor(w)
-    sh, sw = _pair(stride)
-    ph, pw = _pair(pad)
-    dh, dw = _pair(dilation)
-    if min(sh, sw, dh, dw) < 1 or min(ph, pw) < 0:
+    if stride < 1 or dilation < 1 or pad < 0:
         raise ConfigError(
             f"conv2d: invalid attrs stride={stride} pad={pad} dilation={dilation}"
         )
@@ -170,29 +234,14 @@ def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
             f"conv2d: input has {ci} channels but weight expects {wci} "
             f"(input shape {x.shape}, weight shape {w.shape})"
         )
-    oh = _conv_out_size(h, kh, sh, ph, dh)
-    ow = _conv_out_size(iw, kw, sw, pw, dw)
-    if oh < 1 or ow < 1:
+    if min(_conv_out_size(h, kh, stride, pad, dilation),
+           _conv_out_size(iw, kw, stride, pad, dilation)) < 1:
         raise ConfigError(
-            f"conv2d: kernel {kh}x{kw} (dilation {dh}x{dw}) does not fit input "
-            f"{h}x{iw} with pad {ph}x{pw}"
+            f"conv2d: kernel {kh}x{kw} (dilation {dilation}) does not fit "
+            f"input {h}x{iw} with pad {pad}"
         )
 
-    w_mat = w.data.reshape(co, -1)
-    slices = sh == sw == 1 and kh * kw > 1 and co <= _SLICE_MAX_CO
-    if slices:
-        xf, wp = _pad_flat(x.data, ph, pw)
-        span = oh * wp
-        taps = [i * dh * wp + j * dw for i in range(kh) for j in range(kw)]
-        w_taps = w.data.transpose(2, 3, 0, 1).reshape(kh * kw, co, ci)
-        acc = np.matmul(w_taps[0], xf[:, :, :span])
-        tmp = np.empty_like(acc)
-        for t, o in enumerate(taps[1:], 1):
-            acc += np.matmul(w_taps[t], xf[:, :, o:o + span], out=tmp)
-        out = acc.reshape(n, co, oh, wp)[:, :, :, :ow]
-    else:
-        cols = _im2col(x.data, kh, kw, sh, sw, ph, pw, dh, dw, oh, ow)
-        out = np.matmul(w_mat, cols).reshape(n, co, oh, ow)
+    out, cols = _correlate(x.data, w.data, stride, pad, dilation)
     parents = [x, w]
     if b is not None:
         b = as_tensor(b)
@@ -203,37 +252,9 @@ def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
         out += b.data.reshape(1, co, 1, 1)
         parents.append(b)
 
-    # With stride 1 the input gradient is a correlation of g, padded by
-    # d*(k-1) - p, with the flipped kernel (Dumoulin & Visin 2016): im2col
-    # over co*k*k rows instead of col2im over ci*k*k, and dense growth
-    # layers have co << ci. A negative pad would crop, so that case and
-    # strided convs scatter through col2im.
-    qh, qw = dh * (kh - 1) - ph, dw * (kw - 1) - pw
-    via_gcols = sh == 1 and sw == 1 and qh >= 0 and qw >= 0
-
     def backward_fn(g):
-        if slices:
-            xf, _ = _pad_flat(x.data, ph, pw)
-            g_ext = np.zeros((n, co, oh, wp), dtype=g.dtype)
-            g_ext[:, :, :, :ow] = g
-            g_ext = g_ext.reshape(n, co, span)
-            g_taps = np.zeros((n, len(taps), co, xf.shape[2]), dtype=g.dtype)
-            for t, o in enumerate(taps):
-                g_taps[:, t, :, o:o + span] = g_ext
-            gw = np.matmul(g_taps.reshape(n, -1, xf.shape[2]),
-                           xf.transpose(0, 2, 1)).sum(axis=0)
-            gw = gw.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1)
-        else:
-            gw = np.matmul(g.reshape(n, co, oh * ow), cols.transpose(0, 2, 1)) \
-                .sum(axis=0).reshape(w.data.shape)
-        if via_gcols:
-            w_flip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
-            gcols = _im2col(g, kh, kw, 1, 1, qh, qw, dh, dw, h, iw)
-            gx = np.matmul(w_flip, gcols).reshape(x.data.shape)
-        else:
-            gcols = np.matmul(w_mat.T, g.reshape(n, co, oh * ow))
-            gx = _col2im(gcols, x.data.shape, kh, kw, sh, sw, ph, pw, dh, dw,
-                         oh, ow)
+        gw = _correlate_gw(g, x.data, cols, w.data.shape, stride, pad, dilation)
+        gx = _correlate_gx(g, w.data, x.data.shape, stride, pad, dilation)
         if len(parents) == 3:
             return gx, gw, g.sum(axis=(0, 2, 3))
         return gx, gw
@@ -242,10 +263,16 @@ def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
 
 
 def deconv2d(x, w, stride=2, pad=1):
-    """Transposed convolution; output spatial size (h-1)*s - 2p + k."""
+    """Transposed convolution; output spatial size (h-1)*s - 2p + k.
+
+    It is the adjoint of :func:`conv2d` with the same weights, so its
+    forward is the conv's input gradient, and its input and weight
+    gradients are the conv's forward and weight gradient, with ``x`` in
+    the role of the conv's output gradient.
+    """
     x, w = as_tensor(x), as_tensor(w)
-    sh, sw = _pair(stride)
-    ph, pw = _pair(pad)
+    if stride < 1 or pad < 0:
+        raise ConfigError(f"deconv2d: invalid attrs stride={stride} pad={pad}")
     n, ci, h, iw = x.shape
     wci, co, kh, kw = w.shape
     if ci != wci:
@@ -253,24 +280,19 @@ def deconv2d(x, w, stride=2, pad=1):
             f"deconv2d: input has {ci} channels but weight expects {wci} "
             f"(input shape {x.shape}, weight shape {w.shape})"
         )
-    oh = (h - 1) * sh - 2 * ph + kh
-    ow = (iw - 1) * sw - 2 * pw + kw
+    oh = (h - 1) * stride - 2 * pad + kh
+    ow = (iw - 1) * stride - 2 * pad + kw
     if oh < 1 or ow < 1:
         raise ConfigError(
             f"deconv2d: output size {oh}x{ow} <= 0 for input {h}x{iw}, "
-            f"kernel {kh}x{kw}, stride {sh}x{sw}, pad {ph}x{pw}"
+            f"kernel {kh}x{kw}, stride {stride}, pad {pad}"
         )
 
-    w_mat = w.data.reshape(wci, co * kh * kw)
-    x_mat = x.data.reshape(n, ci, h * iw)
-    cols = np.matmul(w_mat.T, x_mat)
-    out = _col2im(cols, (n, co, oh, ow), kh, kw, sh, sw, ph, pw, 1, 1, h, iw)
+    out = _correlate_gx(x.data, w.data, (n, co, oh, ow), stride, pad, 1)
 
     def backward_fn(g):
-        gcols = _im2col(g, kh, kw, sh, sw, ph, pw, 1, 1, h, iw)
-        gx = np.matmul(w_mat, gcols).reshape(x.data.shape)
-        gw = np.matmul(x_mat, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
-        return gx, gw
+        gx, cols = _correlate(g, w.data, stride, pad, 1)
+        return gx, _correlate_gw(x.data, g, cols, w.data.shape, stride, pad, 1)
 
     return Tensor(out, (x, w), backward_fn, op="deconv2d")
 
@@ -285,34 +307,29 @@ def maxpool2d(x, kernel=2, stride=None, pad=0):
     maxima, so the node keeps neither them nor an index array.
     """
     x = as_tensor(x)
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(kernel if stride is None else stride)
-    ph, pw = _pair(pad)
-    if ph >= kh or pw >= kw:
-        raise ConfigError(f"maxpool2d: pad {ph}x{pw} must be < kernel {kh}x{kw}")
-    n, c, h, iw = x.shape
-    if h + 2 * ph < kh or iw + 2 * pw < kw:
+    s = kernel if stride is None else stride
+    if s < 1 or not 0 <= pad < kernel:
         raise ConfigError(
-            f"maxpool2d: window {kh}x{kw} larger than padded input "
-            f"{h + 2 * ph}x{iw + 2 * pw}"
+            f"maxpool2d: invalid attrs kernel={kernel} stride={s} pad={pad}")
+    n, c, h, iw = x.shape
+    if min(h, iw) + 2 * pad < kernel:
+        raise ConfigError(
+            f"maxpool2d: window {kernel}x{kernel} larger than padded input "
+            f"{h + 2 * pad}x{iw + 2 * pad}"
         )
-    oh = _conv_out_size(h, kh, sh, ph, 1)
-    ow = _conv_out_size(iw, kw, sw, pw, 1)
-
-    def tap(a, i, j):
-        return a[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
-
-    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    oh = _conv_out_size(h, kernel, s, pad, 1)
+    ow = _conv_out_size(iw, kernel, s, pad, 1)
+    taps = list(product(range(kernel), range(kernel)))
 
     def pool():
         """(padded x, output); backward calls it again rather than keep
         either."""
-        xp = _pad(x.data, ph, pw, -np.inf) if ph or pw else x.data
-        out = tap(xp, 0, 0).copy()
+        xp = _pad(x.data, pad, pad, -np.inf)
+        out = _tap(xp, 0, 0, s, oh, ow).copy()
         for i, j in taps[1:]:
             # the tap first: np.maximum returns its second argument on a
             # tie (0.0 vs -0.0), so the earlier tap wins as for argmax
-            np.maximum(tap(xp, i, j), out, out=out)
+            np.maximum(_tap(xp, i, j, s, oh, ow), out, out=out)
         return xp, out
 
     def backward_fn(g):
@@ -321,16 +338,16 @@ def maxpool2d(x, kernel=2, stride=None, pad=0):
 
         def route(match, found):
             for i, j in taps:
-                eq = match(tap(xp, i, j))
+                eq = match(_tap(xp, i, j, s, oh, ow))
                 hit = eq > found  # a match, and no earlier tap matched
                 found |= eq
-                tap(gx, i, j)[...] += g * hit
+                _tap(gx, i, j, s, oh, ow)[...] += g * hit
             return found
 
         found = route(lambda t: t == out, np.zeros(out.shape, dtype=bool))
         if not found.all():  # a NaN maximum equals no tap: take the first NaN
             route(np.isnan, found)
-        return (gx[:, :, ph:ph + h, pw:pw + iw],)
+        return (_tap(gx, pad, pad, 1, h, iw),)
 
     return Tensor(pool()[1], (x,), backward_fn, op="maxpool2d")
 

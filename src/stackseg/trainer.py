@@ -36,6 +36,8 @@ class TrainConfig:
             raise ConfigError(
                 f"bad schedule: lr={self.base_lr} max_iter={self.max_iter} "
                 f"batch_size={self.batch_size}")
+        if self.log_every < 1:
+            raise ConfigError(f"log_every {self.log_every} must be >= 1")
         if self.crop % 16:
             raise ConfigError(f"crop {self.crop} must be a multiple of 16")
         if not self.scales or min(self.scales) <= 0:

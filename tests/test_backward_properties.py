@@ -5,8 +5,10 @@ satisfy, so both input-gradient routes (correlation of ``g`` with the
 flipped kernel for stride 1, ``col2im`` for strided convs and pads wider
 than the dilated kernel) and both weight-gradient routes (tap slices for
 stride-1 convs with narrow output, im2col otherwise) are pinned to the
-same linear map. maxpool2d is checked against a direct-loop oracle and
-softmax-CE against its closed form. Everything runs in float64.
+same linear map. deconv2d runs the same routes with input and output
+swapped and is checked the same way. maxpool2d is checked against a
+direct-loop oracle and softmax-CE against its closed form. Everything
+runs in float64.
 """
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from numpy.testing import assert_allclose
 
 import reference
 from stackseg import ops
-from stackseg.ops import conv2d, maxpool2d, softmax_ce_loss
+from stackseg.ops import conv2d, deconv2d, maxpool2d, softmax_ce_loss
 from stackseg.tensor import Tensor
 
 pytest.importorskip("hypothesis")
@@ -28,34 +30,74 @@ WIDE = ops._SLICE_MAX_CO + 1  # narrowest output that takes im2col
 
 @st.composite
 def conv_cases(draw):
-    k = draw(st.integers(1, 4))
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     d = draw(st.integers(1, 3))
     # up to two past d*(k-1), where the stride-1 route would need to crop
-    p = draw(st.integers(0, d * (k - 1) + 2))
+    p = draw(st.integers(0, d * (max(kh, kw) - 1) + 2))
     s = draw(st.integers(1, 3))
-    eff = d * (k - 1) + 1
-    h = max(1, eff - 2 * p) + draw(st.integers(0, 6))
-    w = max(1, eff - 2 * p) + draw(st.integers(0, 6))
+    h = max(1, d * (kh - 1) + 1 - 2 * p) + draw(st.integers(0, 6))
+    w = max(1, d * (kw - 1) + 1 - 2 * p) + draw(st.integers(0, 6))
     n, ci, co = (draw(st.integers(1, 2)), draw(st.integers(1, 5)),
                  draw(st.integers(1, 5)))
-    return n, ci, co, h, w, k, s, p, d, draw(st.integers(0, 2**32 - 1))
+    return n, ci, co, h, w, kh, kw, s, p, d, draw(st.integers(0, 2**32 - 1))
 
 
 @given(conv_cases())
-@example((2, 3, 4, 7, 6, 3, 1, 1, 1, 0))   # stride 1, correlation route
-@example((1, 4, 2, 9, 8, 3, 1, 2, 2, 1))   # dilated, pad == d*(k-1)
-@example((2, 3, 5, 8, 7, 3, 1, 3, 1, 2))   # pad > d*(k-1): col2im route
-@example((2, 2, 3, 9, 9, 3, 2, 1, 1, 3))   # stride 2: col2im route
-@example((1, 2, WIDE, 3, 4, 3, 1, 1, 1, 4))  # wide: im2col gw, correlation
-@example((1, 2, WIDE, 3, 3, 3, 1, 3, 1, 5))  # wide: im2col gw, col2im
-@example((1, 2, WIDE - 1, 3, 4, 3, 1, 1, 1, 6))  # widest tap-slice gw
+@example((2, 3, 4, 7, 6, 3, 3, 1, 1, 1, 0))   # stride 1, correlation route
+@example((1, 4, 2, 9, 8, 3, 3, 1, 2, 2, 1))   # dilated, pad == d*(k-1)
+@example((2, 3, 5, 8, 7, 3, 3, 1, 3, 1, 2))   # pad > d*(k-1): col2im route
+@example((2, 2, 3, 9, 9, 3, 3, 2, 1, 1, 3))   # stride 2: col2im route
+@example((1, 2, WIDE, 3, 4, 3, 3, 1, 1, 1, 4))  # wide: im2col gw, correlation
+@example((1, 2, WIDE, 3, 3, 3, 3, 1, 3, 1, 5))  # wide: im2col gw, col2im
+@example((1, 2, WIDE - 1, 3, 4, 3, 3, 1, 1, 1, 6))  # widest tap-slice gw
+@example((2, 3, 4, 7, 6, 3, 1, 1, 0, 1, 7))   # 3x1: correlation pads 2 and 0
+@example((2, 3, 4, 6, 7, 1, 3, 1, 0, 1, 8))   # 1x3: correlation pads 0 and 2
 @PROPERTY
 def test_conv2d_gradients_are_adjoints(case):
-    n, ci, co, h, w, k, s, p, d, seed = case
+    n, ci, co, h, w, kh, kw, s, p, d, seed = case
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, ci, h, w))
-    wt = rng.standard_normal((co, ci, k, k))
+    wt = rng.standard_normal((co, ci, kh, kw))
     out = conv2d(Tensor(x), Tensor(wt), stride=s, pad=p, dilation=d)
+    y = rng.standard_normal(out.shape)
+    gx, gw = out.backward_fn(y)
+    assert gx.shape == x.shape and gw.shape == wt.shape
+    lhs = (out.data * y).sum()
+    assert_allclose((x * gx).sum(), lhs, rtol=1e-10, atol=1e-10)
+    assert_allclose((wt * gw).sum(), lhs, rtol=1e-10, atol=1e-10)
+
+
+@st.composite
+def deconv_cases(draw):
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    s = draw(st.integers(1, 3))
+    # up to one past k-1, where the forward scatters through col2im
+    p = draw(st.integers(0, max(kh, kw)))
+
+    def least(k):  # smallest input whose output (h-1)*s - 2p + k is >= 1
+        return 1 + max(0, -(-(2 * p - k + 1) // s))
+    h = least(kh) + draw(st.integers(0, 4))
+    w = least(kw) + draw(st.integers(0, 4))
+    n, ci, co = (draw(st.integers(1, 2)), draw(st.integers(1, 5)),
+                 draw(st.integers(1, 5)))
+    return n, ci, co, h, w, kh, kw, s, p, draw(st.integers(0, 2**32 - 1))
+
+
+@given(deconv_cases())
+@example((2, 3, 2, 4, 5, 4, 4, 2, 1, 0))      # the stack's 4x4/2/1 upsampler
+@example((2, 3, 4, 5, 6, 3, 3, 1, 1, 1))      # stride 1: tap-slice backward
+@example((1, 3, 2, 6, 6, 3, 3, 1, 3, 2))      # stride 1, pad > k-1: col2im
+@example((1, WIDE, 2, 3, 3, 3, 3, 1, 1, 3))   # wide input: im2col backward
+@example((2, 2, 3, 4, 5, 3, 1, 1, 0, 4))      # 3x1 at stride 1
+@PROPERTY
+def test_deconv2d_gradients_are_adjoints(case):
+    n, ci, co, h, w, kh, kw, s, p, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, ci, h, w))
+    wt = rng.standard_normal((ci, co, kh, kw))
+    out = deconv2d(Tensor(x), Tensor(wt), stride=s, pad=p)
+    assert out.shape == (n, co, (h - 1) * s - 2 * p + kh,
+                         (w - 1) * s - 2 * p + kw)
     y = rng.standard_normal(out.shape)
     gx, gw = out.backward_fn(y)
     assert gx.shape == x.shape and gw.shape == wt.shape

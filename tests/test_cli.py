@@ -90,6 +90,28 @@ def test_checkpoint_is_self_describing(workspace, tmp_path, capsys):
     assert read_pgm(preds / "synth0000_pred.pgm").shape == (64, 64)
 
 
+def test_train_rejects_log_every_0(workspace, tmp_path, capsys):
+    # used to run one iteration, then die on ``it % 0`` without weights
+    out = tmp_path / "w.sdnw"
+    assert run(["train", "--data", str(workspace / "data" / "manifest.txt"),
+                "--out", str(out), "--iters", "1", "--log-every", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "log_every" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--noise", "-1"), ("--noise", "nan"), ("--size", "0"), ("--size", "3"),
+    ("--count", "0"), ("--count", "-1"),
+])
+def test_synth_rejects_bad_arguments(tmp_path, capsys, flag, value):
+    out = tmp_path / "data"
+    assert run(["synth", "--out", str(out), "--count", "2", "--size", "16",
+                flag, value]) == 1
+    assert capsys.readouterr().err.startswith("error: synth:")
+    assert not (out / "manifest.txt").exists()
+
+
 def test_analyze_sweep_and_check_built(capsys):
     assert run(["analyze", "--profile", "mini", "--units", "2",
                 "--classes", "3", "--sweep", "3", "--check-built"]) == 0

@@ -70,9 +70,10 @@ def test_conv2d_1x1_uses_input_as_patch_matrix():
     w = rng.standard_normal((3, 5, 1, 1))
     b = rng.standard_normal(3)
     g = rng.standard_normal((2, 3, 6, 7))
-    assert np.shares_memory(ops._im2col(x, 1, 1, 1, 1, 0, 0, 2, 2, 6, 7), x)
-    assert not np.shares_memory(ops._im2col(x, 1, 1, 2, 2, 0, 0, 1, 1, 3, 4), x)
-    assert not np.shares_memory(ops._im2col(x, 1, 1, 1, 1, 1, 1, 1, 1, 8, 9), x)
+    assert np.shares_memory(ops._im2col(x, 1, 1, 1, 2, 6, 7), x)
+    assert not np.shares_memory(ops._im2col(x, 1, 1, 2, 1, 3, 4), x)
+    padded = ops._pad(x, 1, 1)
+    assert not np.shares_memory(ops._im2col(padded, 1, 1, 1, 1, 8, 9), x)
 
     out = conv2d(Tensor(x), Tensor(w), Tensor(b))
     assert_allclose(out.data, reference.conv2d_forward(x, w, b),
@@ -151,6 +152,10 @@ def test_deconv2d_rejects_bad_shapes():
         # (1-1)*2 - 2*1 + 2 = 0: empty output
         deconv2d(Tensor(np.zeros((1, 2, 1, 1))), Tensor(np.zeros((2, 2, 2, 2))),
                  stride=2, pad=1)
+    for attrs in ({"stride": 0}, {"pad": -1}):
+        with pytest.raises(ConfigError):
+            deconv2d(Tensor(np.zeros((1, 2, 3, 3))),
+                     Tensor(np.zeros((2, 2, 4, 4))), **attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +193,9 @@ def test_maxpool2d_rejects_bad_config():
         maxpool2d(x, kernel=2, pad=2)
     with pytest.raises(ConfigError):
         maxpool2d(Tensor(np.zeros((1, 1, 1, 1))), kernel=3)
+    for attrs in ({"stride": 0}, {"pad": -1}):
+        with pytest.raises(ConfigError):
+            maxpool2d(x, kernel=2, **attrs)
 
 
 # ---------------------------------------------------------------------------
