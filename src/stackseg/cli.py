@@ -16,8 +16,8 @@ import os
 import sys
 
 from .analyzer import architecture_report, count_network_params, format_report
-from .data import IGNORE_INDEX, load_samples, pad_to_multiple, read_pgm, \
-    save_dataset, synth_dataset, write_pgm
+from .data import IGNORE_INDEX, load_samples, read_pgm, save_dataset, \
+    synth_dataset, write_pgm
 from .errors import ConfigError, DataError, DivergenceError, UsageError
 from .gradcheck import composite_check, primitive_sweep
 from .metrics import EvalAccumulator
@@ -101,9 +101,7 @@ def cmd_infer(args):
         if args.ms_flip:
             pred = predict_ms_flip(net, s.image, scales=scales, mirror=True)
         else:
-            h, w = s.image.shape[1:]
-            padded, _ = pad_to_multiple(s.image)
-            pred = net.predict(padded[None])[0][:h, :w]
+            pred = net.predict(s.image[None])[0]
         write_pgm(os.path.join(args.out, f"{s.name}_pred.pgm"), pred)
     print(f"wrote {len(samples)} prediction maps to {args.out}")
     return 0

@@ -211,6 +211,25 @@ def mean_pixel(samples):
     return (total / count).astype(np.float32)
 
 
+def pad_bottom_right(image, labels, out_h, out_w, fill):
+    """Grow a (3, h, w) image to (3, out_h, out_w) at the bottom and right.
+
+    New image pixels take ``fill`` (per channel, or one value for all);
+    new label pixels take the ignore index. Returns (image, labels), with
+    labels passed through as None when absent.
+    """
+    h, w = image.shape[1:]
+    out = np.empty((3, out_h, out_w), dtype=image.dtype)
+    out[:] = np.broadcast_to(np.asarray(fill, dtype=image.dtype),
+                             (3,))[:, None, None]
+    out[:, :h, :w] = image
+    if labels is None:
+        return out, None
+    padded = np.full((out_h, out_w), IGNORE_INDEX, dtype=labels.dtype)
+    padded[:h, :w] = labels
+    return out, padded
+
+
 def pad_to_multiple(image, labels=None, multiple=16, fill=None):
     """Right/bottom-pad so both sides divide ``multiple``.
 
@@ -220,21 +239,12 @@ def pad_to_multiple(image, labels=None, multiple=16, fill=None):
     """
     image = np.asarray(image)
     h, w = image.shape[1:]
-    ph = (-h) % multiple
-    pw = (-w) % multiple
-    if ph == 0 and pw == 0:
+    if h % multiple == 0 and w % multiple == 0:
         return image, labels
     if fill is None:
         fill = image.mean(axis=(1, 2))
-    fill = np.broadcast_to(np.asarray(fill, dtype=image.dtype), (3,))
-    out = np.empty((3, h + ph, w + pw), dtype=image.dtype)
-    out[:] = fill[:, None, None]
-    out[:, :h, :w] = image
-    if labels is None:
-        return out, None
-    padded = np.full((h + ph, w + pw), IGNORE_INDEX, dtype=labels.dtype)
-    padded[:h, :w] = labels
-    return out, padded
+    return pad_bottom_right(image, labels, h + (-h) % multiple,
+                            w + (-w) % multiple, fill)
 
 
 # ---------------------------------------------------------------------------

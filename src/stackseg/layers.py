@@ -1,14 +1,15 @@
 """Composite layers the encoders and decoder units are assembled from.
 
 Everything follows the pre-activation convention: each weight layer sees
-BN -> ReLU of its input. Every layer and container derives from
-:class:`Module`, whose ``params()`` (trainable tensors) and ``buffers()``
-(named running statistics) come from one walk over the instance
-attributes in assignment order, descending into sub-modules, lists and
-tuples but not into dicts. Construction order is therefore parameter
-order; a container that needs another order, or keeps layers in a dict,
-lists them explicitly (as ``StackedNet.param_groups`` does). Parameter
-names are dotted paths rooted at the owning network.
+BN -> ReLU of its input. Every layer and container, the whole network
+included, derives from :class:`Module`, whose ``params()`` (trainable
+tensors) and ``buffers()`` (named running statistics) come from one walk
+over the instance attributes in assignment order, descending into
+sub-modules, lists, tuples and dict values (in insertion order).
+Construction order is therefore parameter order. Parameters and running
+statistics are both updated in place, so the arrays the walk returns
+stay the network's own. Parameter names are dotted paths rooted at the
+owning network.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .ops import (
-    BnState,
     batch_norm,
     bilinear_resize,
     channel_prefix,
@@ -41,17 +41,16 @@ def avg_pool_half(x):
 
 
 def _collect(obj, params, buffers):
-    """Append the Params and BN buffers under a module, list or tuple."""
-    items = obj if isinstance(obj, (list, tuple)) else vars(obj).values()
-    for value in items:
+    """Append the Params and BN buffers under a module, list, tuple or dict."""
+    items = vars(obj) if isinstance(obj, Module) else obj
+    for value in items.values() if isinstance(items, dict) else items:
         if isinstance(value, Param):
             params.append(value)
-        elif isinstance(value, (Module, list, tuple)):
+        elif isinstance(value, (Module, list, tuple, dict)):
             _collect(value, params, buffers)
     if isinstance(obj, BatchNormLayer):
-        # read at call time: batch_norm rebinds the running arrays
-        buffers += [(f"{obj.name}.running_mean", obj.state.mean),
-                    (f"{obj.name}.running_var", obj.state.var)]
+        buffers += [(f"{obj.name}.running_mean", obj.running_mean),
+                    (f"{obj.name}.running_var", obj.running_var)]
 
 
 class Module:
@@ -97,11 +96,12 @@ class BatchNormLayer(Module):
                            f"{name}.gamma", decay_exempt=True)
         self.beta = Param(np.zeros(channels, dtype=np.float32),
                           f"{name}.beta", decay_exempt=True)
-        self.state = BnState(channels)
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
 
     def __call__(self, x, training=False):
         return batch_norm(x, self.gamma.as_tensor(), self.beta.as_tensor(),
-                          self.state, training)
+                          self.running_mean, self.running_var, training)
 
 
 class BnActConv(Module):

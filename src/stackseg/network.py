@@ -33,6 +33,7 @@ SIZE_MULTIPLE = 16  # inputs must divide evenly down to the deepest scale
 KEEP_PROB = 0.8  # dropout keep probability of every stacked-unit conv
 DOWN_LAYERS = (2, 4)  # dense layers of a unit's two down stages
 UP_LAYERS = (2, 2)  # and of its two up stages, in both profiles
+SKIP_BLOCKS = {0: 4, 1: 8}  # encoder blocks 1, 2 feed the ratio-4, -8 skips
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,8 @@ class DenseEncoder(Module):
                                rng, bottleneck=p.bottleneck,
                                dilation=2 if last else 1)
             c = block.out_channels
-            if i == 0:
-                self.skip_channels[4] = c
-            elif i == 1:
-                self.skip_channels[8] = c
+            if i in SKIP_BLOCKS:
+                self.skip_channels[SKIP_BLOCKS[i]] = c
             trans = None
             if not last:
                 out = c // 2
@@ -150,10 +149,8 @@ class DenseEncoder(Module):
         skips = {}
         for i, (block, trans) in enumerate(self.stages):
             h = block(h, training, rng)
-            if i == 0:
-                skips[4] = h
-            elif i == 1:
-                skips[8] = h
+            if i in SKIP_BLOCKS:
+                skips[SKIP_BLOCKS[i]] = h
             if trans is not None:
                 h = trans(h, training, rng)
         return relu(self.final_bn(h, training)), skips
@@ -208,10 +205,9 @@ class StackUnit(Module):
     stages. Stage widths are shared across units, which is what lets the
     stack grow to any depth."""
 
-    def __init__(self, name, p, rng, first, last):
-        self.first = first
+    def __init__(self, name, p, rng, descend, last):
         self.down1 = self.down2 = None
-        if not first:
+        if descend:
             self.down1 = DownStage(f"{name}.down1", p.up_widths[1],
                                    p.up_widths[0], DOWN_LAYERS[0], p.growth,
                                    p.down_widths[0], rng)
@@ -224,8 +220,19 @@ class StackUnit(Module):
                            UP_LAYERS[1], p.growth,
                            None if last else p.up_widths[1], rng)
 
+    def __call__(self, prev, skips, training=False, rng=None):
+        """Taps {16, 8, 4} of this unit from the previous unit's taps (for
+        the first unit, ``{16: entry}``) and the encoder skip projections
+        ``{4, 8}``."""
+        d = prev[16]
+        if self.down1 is not None:
+            h = self.down1(prev[4], prev[8], training, rng)
+            d = self.down2(h, d, training, rng)
+        u1 = self.up1(d, skips[8], training, rng)
+        return {16: d, 8: u1, 4: self.up2(u1, skips[4], training, rng)}
 
-class StackedNet:
+
+class StackedNet(Module):
     """See the module docstring for the wiring story."""
 
     def __init__(self, config, seed=0):
@@ -242,7 +249,7 @@ class StackedNet:
         self.entry = ConvLayer("entry", self.encoder.out_channels,
                                p.entry_width, 3, rng, bias=True)
         self.units = [StackUnit(f"unit{i + 1}", p, rng,
-                                first=i == 0,
+                                descend=i > 0,
                                 last=i == config.num_units - 1)
                       for i in range(config.num_units)]
         self.heads = {}
@@ -267,13 +274,6 @@ class StackedNet:
         groups["heads"] = [p for key in sorted(self.heads)
                            for p in self.heads[key].params()]
         return groups
-
-    def params(self):
-        return [p for group in self.param_groups().values() for p in group]
-
-    def buffers(self):
-        return [b for m in (self.encoder, self.skip4, self.skip8, *self.units)
-                for b in m.buffers()]
 
     def state_dict(self):
         state = {p.name: p.value for p in self.params()}
@@ -311,30 +311,21 @@ class StackedNet:
         if training and rng is None:
             raise UsageError("training forward needs an rng for dropout")
 
-        feat, raw_skips = self.encoder(x, training, rng)
-        s4 = self.skip4(raw_skips[4], training, rng)
-        s8 = self.skip8(raw_skips[8], training, rng)
-        entry = self.entry(feat)
+        feat, raw = self.encoder(x, training, rng)
+        skips = {4: self.skip4(raw[4], training, rng),
+                 8: self.skip8(raw[8], training, rng)}
+        taps = {16: self.entry(feat)}
 
         maps = {}
         fused = {}
-        prev = None
         for i, unit in enumerate(self.units):
-            if unit.first:
-                d = entry
-            else:
-                h1 = unit.down1(prev["up2"], prev["up1"], training, rng)
-                d = unit.down2(h1, prev["entry"], training, rng)
-            u1 = unit.up1(d, s8, training, rng)
-            u2 = unit.up2(u1, s4, training, rng)
-            taps = {16: d, 8: u1, 4: u2}
+            taps = unit(taps, skips, training, rng)
             for r in self.config.supervision_ratios:
                 score = self.heads[(i, r)](taps[r])
                 if r in fused:
                     score = eltwise_add(score, fused[r])
                 fused[r] = score
                 maps[(i, r)] = score
-            prev = {"entry": d, "up1": u1, "up2": u2}
         return maps
 
     def losses(self, maps, labels, ignore_index=IGNORE_INDEX):
@@ -363,7 +354,17 @@ class StackedNet:
             return bilinear_resize(final, x.shape[2], x.shape[3]).data
 
     def predict(self, x):
-        return np.argmax(self.predict_logits(x), axis=1)
+        """(n, h, w) label maps of (n, 3, h, w) images of any size. Each
+        image is padded to ``SIZE_MULTIPLE`` with its own mean pixel, as
+        ``evaluate`` and ``stackseg infer`` need, and the labels are
+        cropped back."""
+        x = np.asarray(x)
+        if x.ndim != 4 or x.shape[1] != 3:
+            raise ConfigError(f"expected (n, 3, h, w) input, got {x.shape}")
+        h, w = x.shape[2:]
+        padded = np.stack([pad_to_multiple(im, None, SIZE_MULTIPLE)[0]
+                           for im in x])
+        return np.argmax(self.predict_logits(padded), axis=1)[:, :h, :w]
 
 
 _HEAD_NAME = re.compile(r"unit([1-9]\d{0,8})\.head(\d{1,2})\.w")

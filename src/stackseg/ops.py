@@ -405,25 +405,17 @@ def resize_nearest_labels(labels, out_h, out_w):
 # ---------------------------------------------------------------------------
 # normalization / regularization / glue
 
-class BnState:
-    """Running statistics owned by a batch-norm layer."""
-
-    __slots__ = ("mean", "var")
-
-    def __init__(self, channels, dtype=np.float32):
-        self.mean = np.zeros(channels, dtype=dtype)
-        self.var = np.ones(channels, dtype=dtype)
-
-
-def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.9):
+def batch_norm(x, gamma, beta, running_mean, running_var, training,
+               eps=1e-5, momentum=0.9):
     """Per-channel batch normalization over (n, h, w).
 
     Training mode normalizes with batch statistics and folds them into
-    ``state`` as running = momentum * running + (1 - momentum) * batch;
-    inference mode normalizes with ``state`` as-is. Either way the node
-    keeps only the per-channel ``mean`` and ``inv_std`` it used; backward
-    recomputes ``xhat`` from ``x`` with the forward's own expressions, so
-    it is bitwise the value the forward normalized with.
+    the running arrays in place, as running = momentum * running +
+    (1 - momentum) * batch; inference mode normalizes with the running
+    arrays as they are. Either way the node keeps only the per-channel
+    ``mean`` and ``inv_std`` it used; backward recomputes ``xhat`` from
+    ``x`` with the forward's own expressions, so it is bitwise the value
+    the forward normalized with.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     n, c, h, w = x.shape
@@ -437,17 +429,19 @@ def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.9):
         mean = x.data.mean(axis=(0, 2, 3))
         out = x.data - mean.reshape(cshape)
         var = np.einsum("nchw,nchw->c", out, out) / (n * h * w)
-        state.mean = (momentum * state.mean + (1.0 - momentum) * mean) \
-            .astype(state.mean.dtype, copy=False)
-        state.var = (momentum * state.var + (1.0 - momentum) * var) \
-            .astype(state.var.dtype, copy=False)
+        running_mean *= momentum
+        running_mean += (1.0 - momentum) * mean
+        running_var *= momentum
+        running_var += (1.0 - momentum) * var
         inv_std = 1.0 / np.sqrt(var + eps)
         out *= inv_std.reshape(cshape)
         out *= gamma.data.reshape(cshape)
         out += beta.data.reshape(cshape)
     else:
-        mean = state.mean.astype(x.data.dtype, copy=False)
-        inv_std = 1.0 / np.sqrt(state.var.astype(x.data.dtype, copy=False) + eps)
+        # a copy: a later training forward may update the running arrays
+        # before this node's backward reads ``mean``
+        mean = running_mean.astype(x.data.dtype)
+        inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype, copy=False) + eps)
         a = gamma.data * inv_std
         out = x.data * a.reshape(cshape)
         out += (beta.data - mean * a).reshape(cshape)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import IGNORE_INDEX, mean_pixel, pad_to_multiple
+from .data import mean_pixel, pad_bottom_right
 from .errors import ConfigError, DataError, DivergenceError
 from .metrics import EvalAccumulator
 from .ops import resize_bilinear_array, resize_nearest_labels
@@ -32,14 +32,17 @@ class TrainConfig:
     log_every: int = 10
 
     def validate(self):
-        if self.base_lr <= 0 or self.max_iter < 1 or self.batch_size < 1:
+        if not (self.base_lr > 0 and math.isfinite(self.base_lr)):
+            raise ConfigError(f"base_lr {self.base_lr} must be finite and > 0")
+        if self.max_iter < 1 or self.batch_size < 1:
             raise ConfigError(
-                f"bad schedule: lr={self.base_lr} max_iter={self.max_iter} "
+                f"bad schedule: max_iter={self.max_iter} "
                 f"batch_size={self.batch_size}")
         if self.log_every < 1:
             raise ConfigError(f"log_every {self.log_every} must be >= 1")
-        if self.crop % 16:
-            raise ConfigError(f"crop {self.crop} must be a multiple of 16")
+        if self.crop < 16 or self.crop % 16:
+            raise ConfigError(f"crop {self.crop} must be a positive multiple "
+                              "of 16")
         if not self.scales or min(self.scales) <= 0:
             raise ConfigError(f"bad scales {self.scales}")
         if not self.aspects or min(self.aspects) <= 0:
@@ -86,15 +89,8 @@ def augment(sample, cfg, rng, fill):
 
     crop = cfg.crop
     if nh < crop or nw < crop:
-        ph, pw = max(0, crop - nh), max(0, crop - nw)
-        padded = np.empty((3, nh + ph, nw + pw), dtype=image.dtype)
-        padded[:] = np.asarray(fill, dtype=image.dtype)[:, None, None]
-        padded[:, :nh, :nw] = image
-        image = padded
-        lab = np.full((nh + ph, nw + pw), IGNORE_INDEX, dtype=labels.dtype)
-        lab[:nh, :nw] = labels
-        labels = lab
-        nh, nw = image.shape[1:]
+        nh, nw = max(nh, crop), max(nw, crop)
+        image, labels = pad_bottom_right(image, labels, nh, nw, fill)
     y0 = int(rng.integers(nh - crop + 1))
     x0 = int(rng.integers(nw - crop + 1))
     image = image[:, y0:y0 + crop, x0:x0 + crop]
@@ -154,14 +150,10 @@ def train(net, samples, cfg, log_fn=None):
 
 
 def evaluate(net, samples, num_classes):
-    """Score plain single-scale predictions against sample labels; each
-    image is padded with its own mean pixel, as ``stackseg infer`` does."""
+    """Score plain single-scale predictions against sample labels."""
     acc = EvalAccumulator(num_classes)
     for s in samples:
         if s.labels is None:
             raise DataError(f"sample {s.name} has no labels to score against")
-        h, w = s.image.shape[1:]
-        padded, _ = pad_to_multiple(s.image)
-        pred = net.predict(padded[None])[0][:h, :w]
-        acc.update(s.labels, pred)
+        acc.update(s.labels, net.predict(s.image[None])[0])
     return acc

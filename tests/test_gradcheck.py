@@ -8,9 +8,14 @@ many more seeds; here a couple per op keeps the suite quick.
 import numpy as np
 import pytest
 
-from stackseg.gradcheck import max_rel_error, numeric_grad, rel_error
+from stackseg.gradcheck import (
+    max_rel_error,
+    numeric_grad,
+    rel_error,
+    spread_values,
+    weighted_sum,
+)
 from stackseg.ops import (
-    BnState,
     batch_norm,
     bilinear_resize,
     concat_channels,
@@ -27,18 +32,6 @@ from stackseg.tensor import Tensor
 TOL = 1e-4
 
 
-def spread(rng, shape, scale=0.37, offset=0.171):
-    """Permuted even grid: distinct values, all far from zero."""
-    n = int(np.prod(shape))
-    vals = (rng.permutation(n) - n / 2) * scale + offset
-    return vals.reshape(shape)
-
-
-def wsum(t, r):
-    """Random-weighted sum to scalar, so FD probes the full Jacobian."""
-    return Tensor((t.data * r).sum(), (t,), lambda g: (g * r,), op="wsum")
-
-
 def test_numeric_grad_on_quadratic():
     x = np.array([1.0, -2.0, 3.0])
     g = numeric_grad(lambda: float((x ** 2).sum()), x)
@@ -52,8 +45,9 @@ def test_grad_conv2d(seed):
     w = rng.standard_normal((4, 3, 3, 3))
     b = rng.standard_normal(4)
     r = rng.standard_normal((2, 4, 6, 5))
-    err = max_rel_error(lambda xt, wt, bt: wsum(conv2d(xt, wt, bt, pad=1), r),
-                        [x, w, b])
+    err = max_rel_error(
+        lambda xt, wt, bt: weighted_sum(conv2d(xt, wt, bt, pad=1), r),
+        [x, w, b])
     assert err < TOL
 
 
@@ -64,7 +58,8 @@ def test_grad_conv2d_strided_dilated():
     out = conv2d(Tensor(x), Tensor(w), stride=2, pad=2, dilation=2)
     r = rng.standard_normal(out.shape)
     err = max_rel_error(
-        lambda xt, wt: wsum(conv2d(xt, wt, stride=2, pad=2, dilation=2), r),
+        lambda xt, wt: weighted_sum(
+            conv2d(xt, wt, stride=2, pad=2, dilation=2), r),
         [x, w])
     assert err < TOL
 
@@ -76,18 +71,20 @@ def test_grad_deconv2d(seed):
     w = rng.standard_normal((3, 2, 4, 4))
     r = rng.standard_normal((2, 2, 8, 6))
     err = max_rel_error(
-        lambda xt, wt: wsum(deconv2d(xt, wt, stride=2, pad=1), r), [x, w])
+        lambda xt, wt: weighted_sum(deconv2d(xt, wt, stride=2, pad=1), r),
+        [x, w])
     assert err < TOL
 
 
 @pytest.mark.parametrize("kernel,stride,pad", [(2, 2, 0), (3, 2, 1)])
 def test_grad_maxpool2d(kernel, stride, pad):
     rng = np.random.default_rng(5)
-    x = spread(rng, (2, 3, 6, 6))
+    x = spread_values(rng, (2, 3, 6, 6))
     out = maxpool2d(Tensor(x), kernel=kernel, stride=stride, pad=pad)
     r = rng.standard_normal(out.shape)
     err = max_rel_error(
-        lambda xt: wsum(maxpool2d(xt, kernel=kernel, stride=stride, pad=pad), r),
+        lambda xt: weighted_sum(
+            maxpool2d(xt, kernel=kernel, stride=stride, pad=pad), r),
         [x])
     assert err < TOL
 
@@ -97,7 +94,8 @@ def test_grad_bilinear_resize(out_hw):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((2, 2, 5, 4))
     r = rng.standard_normal((2, 2) + out_hw)
-    err = max_rel_error(lambda xt: wsum(bilinear_resize(xt, *out_hw), r), [x])
+    err = max_rel_error(
+        lambda xt: weighted_sum(bilinear_resize(xt, *out_hw), r), [x])
     assert err < TOL
 
 
@@ -108,23 +106,21 @@ def test_grad_batch_norm(training):
     gamma = rng.standard_normal(4) + 1.5
     beta = rng.standard_normal(4)
     r = rng.standard_normal(x.shape)
-    state = BnState(4, dtype=np.float64)
-    state.mean[:] = rng.standard_normal(4)
-    state.var[:] = rng.random(4) + 0.5
+    mean = rng.standard_normal(4)
+    var = rng.random(4) + 0.5
 
     def build(xt, gt, bt):
-        st = BnState(4, dtype=np.float64)
-        st.mean[:], st.var[:] = state.mean, state.var
-        return wsum(batch_norm(xt, gt, bt, st, training=training), r)
+        return weighted_sum(batch_norm(xt, gt, bt, mean.copy(), var.copy(),
+                                       training=training), r)
 
     assert max_rel_error(build, [x, gamma, beta]) < TOL
 
 
 def test_grad_relu():
     rng = np.random.default_rng(8)
-    x = spread(rng, (2, 3, 5, 4))
+    x = spread_values(rng, (2, 3, 5, 4))
     r = rng.standard_normal(x.shape)
-    assert max_rel_error(lambda xt: wsum(relu(xt), r), [x]) < TOL
+    assert max_rel_error(lambda xt: weighted_sum(relu(xt), r), [x]) < TOL
 
 
 def test_grad_dropout():
@@ -133,7 +129,8 @@ def test_grad_dropout():
     r = rng.standard_normal(x.shape)
     # mask depends only on the rng, so reseeding per build keeps FD coherent
     err = max_rel_error(
-        lambda xt: wsum(dropout(xt, 0.8, True, np.random.default_rng(77)), r),
+        lambda xt: weighted_sum(
+            dropout(xt, 0.8, True, np.random.default_rng(77)), r),
         [x])
     assert err < TOL
 
@@ -145,7 +142,8 @@ def test_grad_concat_and_add():
     c = rng.standard_normal((2, 5, 3, 3))
     r = rng.standard_normal((2, 5, 3, 3))
     err = max_rel_error(
-        lambda at, bt, ct: wsum(eltwise_add(concat_channels([at, bt]), ct), r),
+        lambda at, bt, ct: weighted_sum(
+            eltwise_add(concat_channels([at, bt]), ct), r),
         [a, b, c])
     assert err < TOL
 
@@ -163,7 +161,7 @@ def test_grad_softmax_ce():
 def test_grad_whole_graph_composite(seed):
     """conv -> bn -> relu -> pool -> deconv -> skip add -> resize -> CE."""
     rng = np.random.default_rng(seed)
-    x = spread(rng, (2, 2, 8, 8))
+    x = spread_values(rng, (2, 2, 8, 8))
     w1 = rng.standard_normal((4, 2, 3, 3)) * 0.5
     gamma = rng.standard_normal(4) + 1.5
     beta = rng.standard_normal(4)
@@ -174,7 +172,7 @@ def test_grad_whole_graph_composite(seed):
 
     def build(xt, w1t, gt, bt, wdt, st):
         h = conv2d(xt, w1t, pad=1)
-        h = batch_norm(h, gt, bt, BnState(4, dtype=np.float64), training=True)
+        h = batch_norm(h, gt, bt, np.zeros(4), np.ones(4), training=True)
         h = relu(h)
         h = maxpool2d(h, kernel=2)
         h = deconv2d(h, wdt, stride=2, pad=1)

@@ -3,11 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from stackseg import ConfigError, Tensor, backward, toposort
+from stackseg.gradcheck import weighted_sum
 from stackseg.layers import (
     BatchNormLayer,
     BnActConv,
     ConvLayer,
     DenseBlock,
+    Module,
     TransitionDown,
     UpsampleLayer,
     avg_pool_half,
@@ -56,7 +58,21 @@ def test_batch_norm_layer_param_and_buffer_names():
     assert all(p.decay_exempt for p in bn.params())
     x = np.random.default_rng(0).standard_normal((2, 5, 3, 3)) + 4.0
     bn(Tensor(x.astype(np.float32)), training=True)
-    assert bn.state.mean.max() > 0  # stats moved off their init
+    assert bn.running_mean.max() > 0  # stats moved off their init
+
+
+def test_walk_descends_into_dicts_in_insertion_order():
+    class Holder(Module):
+        def __init__(self):
+            rng = np.random.default_rng(0)
+            self.head = {"z": ConvLayer("z", 2, 3, 1, rng),
+                         "a": [BatchNormLayer("a", 3)]}
+
+    holder = Holder()
+    assert [p.name for p in holder.params()] == ["z.w", "a.gamma", "a.beta"]
+    bn = holder.head["a"][0]
+    assert holder.buffers() == [("a.running_mean", bn.running_mean),
+                                ("a.running_var", bn.running_var)]
 
 
 def test_bn_act_conv_composition():
@@ -108,10 +124,6 @@ def concat_block(block, x, training, rng):
             h = step(h, training, rng)
         x = concat_channels([x, h])
     return x
-
-
-def weighted_sum(t, r):
-    return Tensor((t.data * r).sum(), (t,), lambda g: (r * g,), op="wsum")
 
 
 @pytest.mark.parametrize("bottleneck", [False, True])

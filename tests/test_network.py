@@ -186,9 +186,20 @@ def test_forward_input_validation():
 
 def test_training_forward_updates_running_stats():
     net = StackedNet(mini_config(3), seed=0)
-    before = net.encoder.stem_bn.state.mean.copy()
+    before = net.encoder.stem_bn.running_mean.copy()
     net.forward(small_input(), training=True, rng=np.random.default_rng(0))
-    assert not np.allclose(net.encoder.stem_bn.state.mean, before)
+    assert not np.allclose(net.encoder.stem_bn.running_mean, before)
+
+
+def test_training_forward_updates_buffers_in_place():
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    before = net.buffers()
+    values = [a.copy() for _, a in before]
+    net.forward(small_input(), training=True, rng=np.random.default_rng(0))
+    after = net.buffers()
+    assert [n for n, _ in after] == [n for n, _ in before]
+    assert all(a is b for (_, a), (_, b) in zip(after, before))
+    assert not any(np.array_equal(a, v) for (_, a), v in zip(after, values))
 
 
 def _section_order(names):
@@ -211,12 +222,13 @@ def test_encoder_walk_follows_construction_order():
 
 
 def test_buffers_read_running_stats_after_training_forward():
-    # batch_norm rebinds the running arrays, so buffers must be read live
+    # buffers and the state dict hand out the layer's own running arrays
     net = StackedNet(mini_config(3), seed=0)
     net.forward(small_input(), training=True, rng=np.random.default_rng(0))
-    state = net.encoder.stem_bn.state
-    assert dict(net.buffers())["encoder.stem_bn.running_mean"] is state.mean
-    assert net.state_dict()["encoder.stem_bn.running_var"] is state.var
+    bn = net.encoder.stem_bn
+    assert dict(net.buffers())["encoder.stem_bn.running_mean"] \
+        is bn.running_mean
+    assert net.state_dict()["encoder.stem_bn.running_var"] is bn.running_var
 
 
 def test_predict_shape_and_determinism():
@@ -226,6 +238,22 @@ def test_predict_shape_and_determinism():
     assert pred.shape == (2, 64, 64)
     assert pred.dtype.kind == "i"
     assert (pred == net.predict(x)).all()
+
+
+def test_predict_pads_each_image_with_its_mean_and_crops():
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    x = np.random.default_rng(3).random((2, 3, 30, 30), dtype=np.float32)
+    x[1] += 0.5  # a different mean pixel from the first image
+    pred = net.predict(x)
+    assert pred.shape == (2, 30, 30)
+    for image, got in zip(x, pred):
+        padded = np.empty((3, 32, 32), dtype=np.float32)
+        padded[:] = image.mean(axis=(1, 2))[:, None, None]
+        padded[:, :30, :30] = image
+        want = net.predict_logits(padded[None]).argmax(axis=1)[0, :30, :30]
+        assert np.array_equal(got, want)
+    with pytest.raises(ConfigError):
+        net.predict(x[0])
 
 
 @pytest.mark.parametrize("units", [1, 2])

@@ -8,7 +8,6 @@ import reference
 from stackseg import ConfigError, DataError, Tensor, backward
 from stackseg import ops
 from stackseg.ops import (
-    BnState,
     batch_norm,
     bilinear_resize,
     channel_prefix,
@@ -261,47 +260,46 @@ def test_resize_nearest_labels_round_trip():
 def test_batch_norm_training_normalizes_and_tracks_stats():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((4, 3, 5, 6)) * 3.0 + 7.0
-    state = BnState(3, dtype=np.float64)
+    mean, var = np.zeros(3), np.ones(3)
     gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
-    out = batch_norm(Tensor(x), gamma, beta, state, training=True)
+    out = batch_norm(Tensor(x), gamma, beta, mean, var, training=True)
     assert_allclose(out.data.mean(axis=(0, 2, 3)), np.zeros(3), atol=1e-10)
     assert_allclose(out.data.var(axis=(0, 2, 3)), np.ones(3), atol=1e-4)
-    assert_allclose(state.mean, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
-    assert_allclose(state.var, 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2, 3)), rtol=1e-12)
+    assert_allclose(mean, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
+    assert_allclose(var, 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2, 3)), rtol=1e-12)
 
 
 def test_batch_norm_running_var_is_biased_batch_var():
     # float32 with a large mean: a one-pass E[x^2] - E[x]^2 loses ~1e-5
     rng = np.random.default_rng(5)
     x = (rng.standard_normal((4, 5, 6, 7)) * 3.0 + 50.0).astype(np.float32)
-    state = BnState(5)
-    state.var[:] = rng.uniform(0.5, 2.0, 5)
-    old = state.var.astype(np.float64)
+    var = rng.uniform(0.5, 2.0, 5).astype(np.float32)
+    old = var.astype(np.float64)
     batch_norm(Tensor(x), Tensor(np.ones(5, np.float32)),
-               Tensor(np.zeros(5, np.float32)), state, training=True,
-               momentum=0.7)
+               Tensor(np.zeros(5, np.float32)), np.zeros(5, np.float32), var,
+               training=True, momentum=0.7)
     want = 0.7 * old + 0.3 * x.astype(np.float64).var(axis=(0, 2, 3))
-    assert state.var.dtype == np.float32
-    assert_allclose(state.var, want, rtol=1e-6)
+    assert var.dtype == np.float32
+    assert_allclose(var, want, rtol=1e-6)
 
 
 def test_batch_norm_inference_uses_running_stats():
     x = np.full((1, 2, 1, 1), 5.0)
-    state = BnState(2, dtype=np.float64)
-    state.mean[:] = [1.0, 5.0]
-    state.var[:] = [4.0, 1.0]
+    mean, var = np.array([1.0, 5.0]), np.array([4.0, 1.0])
     gamma = Tensor(np.array([2.0, 3.0]))
     beta = Tensor(np.array([0.5, -1.0]))
-    out = batch_norm(Tensor(x), gamma, beta, state, training=False, eps=0.0)
+    out = batch_norm(Tensor(x), gamma, beta, mean, var, training=False,
+                     eps=0.0)
     # channel 0: 2 * (5-1)/2 + 0.5; channel 1: 3 * 0 - 1
     assert_allclose(out.data.ravel(), [4.5, -1.0], rtol=1e-12)
-    assert_allclose(state.mean, [1.0, 5.0])  # inference must not touch stats
+    assert_allclose(mean, [1.0, 5.0])  # inference must not touch stats
+    assert_allclose(var, [4.0, 1.0])
 
 
 def test_batch_norm_rejects_mismatched_affine():
     with pytest.raises(ConfigError):
         batch_norm(Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.ones(2)),
-                   Tensor(np.zeros(3)), BnState(3), training=True)
+                   Tensor(np.zeros(3)), np.zeros(3), np.ones(3), training=True)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +497,8 @@ def test_training_nodes_keep_no_activation_sized_array():
         assert held_arrays(node.backward_fn) == [], node
     # batch norm keeps its per-channel mean and inv_std, not xhat
     bn = batch_norm(x, Tensor(np.ones(3, np.float32)),
-                    Tensor(np.zeros(3, np.float32)), BnState(3), training=True)
+                    Tensor(np.zeros(3, np.float32)), np.zeros(3, np.float32),
+                    np.ones(3, np.float32), training=True)
     assert [a.shape for a in held_arrays(bn.backward_fn)] == [(3,), (3,)]
     # the loss keeps the caller's own label map, and nothing it made itself
     labels = rng.integers(0, 3, size=(2, 6, 6))
@@ -538,7 +537,7 @@ def test_batch_norm_gradient_is_bitwise_the_kept_xhat_formula(dtype):
     beta = rng.standard_normal(4).astype(dtype)
     g = rng.standard_normal(x.shape).astype(dtype)
     out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta),
-                     BnState(4, dtype=dtype), training=True)
+                     np.zeros(4, dtype), np.ones(4, dtype), training=True)
     got = out.backward_fn(g)
 
     # the formulas of a node that keeps xhat from its forward

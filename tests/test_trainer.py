@@ -136,6 +136,12 @@ def test_train_config_validation():
         TrainConfig(scales=()).validate()
     with pytest.raises(ConfigError):
         TrainConfig(aspects=(0.0,)).validate()
+    for lr in (float("nan"), float("inf"), 0.0, -1e-3):
+        with pytest.raises(ConfigError, match="base_lr"):
+            TrainConfig(base_lr=lr).validate()
+    for crop in (0, -16):
+        with pytest.raises(ConfigError, match="crop"):
+            TrainConfig(crop=crop).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +218,7 @@ class StubNet:
         return np.zeros((x.shape[0], x.shape[2], x.shape[3]), dtype=np.int64)
 
 
-def test_evaluate_pads_crops_and_scores():
+def test_evaluate_scores_predictions_against_labels():
     labels = np.zeros((30, 30), dtype=np.int64)
     labels[:3] = 255  # ignored strip must not count against the stub
     sample = Sample(np.full((3, 30, 30), 0.5, dtype=np.float32), labels, "s")
