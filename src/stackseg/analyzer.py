@@ -38,29 +38,28 @@ def _bn(c):
 def _dense_block(in_c, layers, growth, bottleneck):
     total, c = 0, in_c
     for _ in range(layers):
+        width = c
         if bottleneck:
-            total += _bn(c) + _conv(c, 4 * growth, 1)
-            total += _bn(4 * growth) + _conv(4 * growth, growth, 3)
-        else:
-            total += _bn(c) + _conv(c, growth, 3)
+            width = 4 * growth
+            total += _bn(c) + _conv(c, width, 1)
+        total += _bn(width) + _conv(width, growth, 3)
         c += growth
     return total, c
 
 
-def _up_stage(in_c, skip_c, layers, growth, out_c):
-    """Deconv + dense block + optional 3x3 to out_c; returns (params, out)."""
-    total = _bn(in_c) + in_c * in_c * 16  # width-preserving 4x4 deconv
-    block, c = _dense_block(in_c + skip_c, layers, growth, bottleneck=False)
-    total += block
+def _stage(in_c, skip_c, layers, growth, out_c, up):
+    """(params, out width, depth) of one stacked-unit stage: a
+    width-preserving 4x4 deconv when ``up`` (a max pool otherwise), a
+    dense block, and an optional 3x3 to out_c."""
+    total, c = _dense_block(in_c + skip_c, layers, growth, bottleneck=False)
+    depth = layers
+    if up:
+        total += _bn(in_c) + in_c * in_c * 16
+        depth += 1
     if out_c is not None:
         total += _bn(c) + _conv(c, out_c, 3, bias=True)
-        c = out_c
-    return total, c
-
-
-def _down_stage(in_c, skip_c, layers, growth, out_c):
-    block, c = _dense_block(in_c + skip_c, layers, growth, bottleneck=False)
-    return block + _bn(c) + _conv(c, out_c, 3, bias=True), out_c
+        c, depth = out_c, depth + 1
+    return total, c, depth
 
 
 def encoder_accounting(p):
@@ -121,23 +120,19 @@ def architecture_report(cfg):
     heads = []
     head_params = 0
     for i in range(cfg.num_units):
-        first, last = i == 0, i == cfg.num_units - 1
+        last = i == cfg.num_units - 1
+        stages = [(ew, sw, UP_LAYERS[0], uw[0], True),
+                  (uw[0], sw, UP_LAYERS[1], None if last else uw[1], True)]
+        if i > 0:
+            stages[:0] = [(uw[1], uw[0], DOWN_LAYERS[0], dw[0], False),
+                          (dw[0], ew, DOWN_LAYERS[1], dw[1], False)]
         unit = 0
-        if not first:
-            p, _ = _down_stage(uw[1], uw[0], DOWN_LAYERS[0], g, dw[0])
+        for in_c, skip_c, layers, out_c, up in stages:
+            p, width, d = _stage(in_c, skip_c, layers, g, out_c, up)
             unit += p
-            p, _ = _down_stage(dw[0], ew, DOWN_LAYERS[1], g, dw[1])
-            unit += p
-            depth += DOWN_LAYERS[0] + 1 + DOWN_LAYERS[1] + 1
-        p, _ = _up_stage(ew, sw, UP_LAYERS[0], g, uw[0])
-        unit += p
-        p, ratio4_width = _up_stage(uw[0], sw, UP_LAYERS[1], g,
-                                    None if last else uw[1])
-        unit += p
-        depth += (1 + UP_LAYERS[0] + 1) + (1 + UP_LAYERS[1] +
-                                           (0 if last else 1))
+            depth += d
         sections[f"unit{i + 1}"] = unit
-        widths = {16: ew, 8: uw[0], 4: ratio4_width}
+        widths = {16: ew, 8: uw[0], 4: width}
         for r in cfg.supervision_ratios:
             heads.append((i, r))
             head_params += _conv(widths[r], cfg.num_classes, 3, bias=True)

@@ -57,6 +57,20 @@ def _num_classes(args, meta):
     return classes
 
 
+def _load_named_samples(path):
+    """load_samples for commands that key files by sample name: infer
+    writes ``<name>_pred.pgm`` and eval reads it back, so two images
+    with one basename would share a prediction map."""
+    meta, samples = load_samples(path)
+    seen = set()
+    for s in samples:
+        if s.name in seen:
+            raise DataError(f"{path}: two images share the name {s.name!r}; "
+                            "prediction maps are named after it")
+        seen.add(s.name)
+    return meta, samples
+
+
 def cmd_synth(args):
     samples = synth_dataset(args.count, size=args.size, noise=args.noise,
                             seed=args.seed)
@@ -95,7 +109,7 @@ def cmd_infer(args):
     state.pop("meta.config", None)  # the config copy earlier versions wrote
     net = StackedNet(config_from_state(state))
     net.load_state(state)
-    _, samples = load_samples(args.data)
+    _, samples = _load_named_samples(args.data)
     os.makedirs(args.out, exist_ok=True)
     for s in samples:
         if args.ms_flip:
@@ -108,7 +122,7 @@ def cmd_infer(args):
 
 
 def cmd_eval(args):
-    meta, samples = load_samples(args.data)
+    meta, samples = _load_named_samples(args.data)
     acc = EvalAccumulator(_num_classes(args, meta))
     for s in samples:
         if s.labels is None:

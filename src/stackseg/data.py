@@ -230,7 +230,7 @@ def pad_bottom_right(image, labels, out_h, out_w, fill):
     return out, padded
 
 
-def pad_to_multiple(image, labels=None, multiple=16, fill=None):
+def pad_to_multiple(image, labels, multiple, fill=None):
     """Right/bottom-pad so both sides divide ``multiple``.
 
     Image pixels are filled with ``fill`` (per-channel, default the

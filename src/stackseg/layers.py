@@ -154,21 +154,16 @@ class DenseBlock(Module):
         self.layers = []
         c = in_c
         for i in range(num_layers):
-            steps = []
+            steps, width = [], c
             if bottleneck:
-                steps.append(BnActConv(f"{name}.layer{i}.squeeze", c,
-                                       4 * growth, 1, rng,
-                                       keep_prob=keep_prob))
-                steps.append(BnActConv(f"{name}.layer{i}.grow", 4 * growth,
-                                       growth, 3, rng, dilation=dilation,
-                                       keep_prob=keep_prob))
-            else:
-                steps.append(BnActConv(f"{name}.layer{i}.grow", c, growth, 3,
-                                       rng, dilation=dilation,
-                                       keep_prob=keep_prob))
+                width = 4 * growth
+                steps.append(BnActConv(f"{name}.layer{i}.squeeze", c, width,
+                                       1, rng, keep_prob=keep_prob))
+            steps.append(BnActConv(f"{name}.layer{i}.grow", width, growth, 3,
+                                   rng, dilation=dilation,
+                                   keep_prob=keep_prob))
             self.layers.append(steps)
             c += growth
-        self.in_channels = in_c
         self.out_channels = c
 
     def __call__(self, x, training=False, rng=None):

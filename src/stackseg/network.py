@@ -156,69 +156,57 @@ class DenseEncoder(Module):
         return relu(self.final_bn(h, training)), skips
 
 
-class DownStage(Module):
-    """Halve resolution by max pooling, merge the same-scale lateral skip,
-    grow dense features, compress to the stage width."""
+class Stage(Module):
+    """One step of a stacked unit: halve resolution by 2x2 max pooling, or
+    double it with a width-preserving transposed conv when ``up``; merge
+    the same-scale lateral input, grow dense features, and compress to
+    ``out_c`` (None keeps the block width: the last unit's final stage
+    stays wide)."""
 
-    def __init__(self, name, in_c, skip_c, num_layers, growth, out_c, rng):
-        self.block = DenseBlock(f"{name}.block", in_c + skip_c, num_layers,
-                                growth, rng, keep_prob=KEEP_PROB)
-        self.comp = BnActConv(f"{name}.comp", self.block.out_channels, out_c,
-                              3, rng, bias=True, keep_prob=KEEP_PROB)
-        self.out_channels = out_c
-
-    def __call__(self, x, skip, training=False, rng=None):
-        h = maxpool2d(x, kernel=2)
-        h = concat_channels([h, skip])
-        h = self.block(h, training, rng)
-        return self.comp(h, training, rng)
-
-
-class UpStage(Module):
-    """Double resolution with a width-preserving transposed conv, merge
-    the encoder skip projection, grow dense features, and compress;
-    the last unit's final stage stays wide."""
-
-    def __init__(self, name, in_c, skip_c, num_layers, growth, out_c, rng):
-        self.up = UpsampleLayer(f"{name}.up", in_c, in_c, rng)
+    def __init__(self, name, in_c, skip_c, num_layers, growth, out_c, rng,
+                 up):
+        self.up = UpsampleLayer(f"{name}.up", in_c, in_c, rng) if up else None
         self.block = DenseBlock(f"{name}.block", in_c + skip_c, num_layers,
                                 growth, rng, keep_prob=KEEP_PROB)
         self.comp = None
+        self.out_channels = self.block.out_channels
         if out_c is not None:
             self.comp = BnActConv(f"{name}.comp", self.block.out_channels,
                                   out_c, 3, rng, bias=True,
                                   keep_prob=KEEP_PROB)
-        self.out_channels = out_c if out_c is not None else self.block.out_channels
+            self.out_channels = out_c
 
     def __call__(self, x, skip, training=False, rng=None):
-        h = self.up(x, training)
+        h = self.up(x, training) if self.up else maxpool2d(x, kernel=2)
         h = concat_channels([h, skip])
         h = self.block(h, training, rng)
-        if self.comp is not None:
-            h = self.comp(h, training, rng)
-        return h
+        return self.comp(h, training, rng) if self.comp else h
 
 
 class StackUnit(Module):
     """One hourglass pass. The first unit rides the encoder down, so it
     has no down stages of its own; later units pool twice before their up
     stages. Stage widths are shared across units, which is what lets the
-    stack grow to any depth."""
+    stack grow to any depth. ``out_channels`` maps each tap ratio to the
+    width of that tap."""
 
     def __init__(self, name, p, rng, descend, last):
+        g = p.growth
         self.down1 = self.down2 = None
         if descend:
-            self.down1 = DownStage(f"{name}.down1", p.up_widths[1],
-                                   p.up_widths[0], DOWN_LAYERS[0], p.growth,
-                                   p.down_widths[0], rng)
-            self.down2 = DownStage(f"{name}.down2", p.down_widths[0],
-                                   p.entry_width, DOWN_LAYERS[1], p.growth,
-                                   p.down_widths[1], rng)
-        self.up1 = UpStage(f"{name}.up1", p.entry_width, p.skip_width,
-                           UP_LAYERS[0], p.growth, p.up_widths[0], rng)
-        self.up2 = UpStage(f"{name}.up2", p.up_widths[0], p.skip_width,
-                           UP_LAYERS[1], p.growth,
-                           None if last else p.up_widths[1], rng)
+            self.down1 = Stage(f"{name}.down1", p.up_widths[1],
+                               p.up_widths[0], DOWN_LAYERS[0], g,
+                               p.down_widths[0], rng, up=False)
+            self.down2 = Stage(f"{name}.down2", p.down_widths[0],
+                               p.entry_width, DOWN_LAYERS[1], g,
+                               p.down_widths[1], rng, up=False)
+        self.up1 = Stage(f"{name}.up1", p.entry_width, p.skip_width,
+                         UP_LAYERS[0], g, p.up_widths[0], rng, up=True)
+        self.up2 = Stage(f"{name}.up2", p.up_widths[0], p.skip_width,
+                         UP_LAYERS[1], g, None if last else p.up_widths[1],
+                         rng, up=True)
+        self.out_channels = {16: p.entry_width, 8: self.up1.out_channels,
+                             4: self.up2.out_channels}
 
     def __call__(self, prev, skips, training=False, rng=None):
         """Taps {16, 8, 4} of this unit from the previous unit's taps (for
@@ -230,6 +218,12 @@ class StackUnit(Module):
             d = self.down2(h, d, training, rng)
         u1 = self.up1(d, skips[8], training, rng)
         return {16: d, 8: u1, 4: self.up2(u1, skips[4], training, rng)}
+
+
+def _check_batch(shape):
+    if len(shape) != 4 or shape[1] != 3 or not shape[0]:
+        raise ConfigError(f"expected (n, 3, h, w) input with n >= 1, "
+                          f"got {shape}")
 
 
 class StackedNet(Module):
@@ -252,14 +246,11 @@ class StackedNet(Module):
                                 descend=i > 0,
                                 last=i == config.num_units - 1)
                       for i in range(config.num_units)]
-        self.heads = {}
-        for i, unit in enumerate(self.units):
-            widths = {16: p.entry_width, 8: p.up_widths[0],
-                      4: unit.up2.out_channels}
-            for r in config.supervision_ratios:
-                self.heads[(i, r)] = ConvLayer(f"unit{i + 1}.head{r}",
-                                               widths[r], config.num_classes,
-                                               3, rng, bias=True)
+        self.heads = {(i, r): ConvLayer(f"unit{i + 1}.head{r}",
+                                        unit.out_channels[r],
+                                        config.num_classes, 3, rng, bias=True)
+                      for i, unit in enumerate(self.units)
+                      for r in config.supervision_ratios}
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -302,8 +293,7 @@ class StackedNet(Module):
         """Run the stack; returns {(unit_index, ratio): fused score Tensor}."""
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x))
-        if x.data.ndim != 4 or x.shape[1] != 3:
-            raise ConfigError(f"expected (n, 3, h, w) input, got {x.shape}")
+        _check_batch(x.shape)
         n, _, h, w = x.shape
         if h % SIZE_MULTIPLE or w % SIZE_MULTIPLE:
             raise ConfigError(
@@ -317,14 +307,12 @@ class StackedNet(Module):
         taps = {16: self.entry(feat)}
 
         maps = {}
-        fused = {}
         for i, unit in enumerate(self.units):
             taps = unit(taps, skips, training, rng)
             for r in self.config.supervision_ratios:
                 score = self.heads[(i, r)](taps[r])
-                if r in fused:
-                    score = eltwise_add(score, fused[r])
-                fused[r] = score
+                if i:
+                    score = eltwise_add(score, maps[(i - 1, r)])
                 maps[(i, r)] = score
         return maps
 
@@ -359,8 +347,7 @@ class StackedNet(Module):
         ``evaluate`` and ``stackseg infer`` need, and the labels are
         cropped back."""
         x = np.asarray(x)
-        if x.ndim != 4 or x.shape[1] != 3:
-            raise ConfigError(f"expected (n, 3, h, w) input, got {x.shape}")
+        _check_batch(x.shape)
         h, w = x.shape[2:]
         padded = np.stack([pad_to_multiple(im, None, SIZE_MULTIPLE)[0]
                            for im in x])

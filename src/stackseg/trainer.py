@@ -15,6 +15,7 @@ import numpy as np
 from .data import mean_pixel, pad_bottom_right
 from .errors import ConfigError, DataError, DivergenceError
 from .metrics import EvalAccumulator
+from .network import SIZE_MULTIPLE
 from .ops import resize_bilinear_array, resize_nearest_labels
 from .tensor import backward
 
@@ -40,13 +41,14 @@ class TrainConfig:
                 f"batch_size={self.batch_size}")
         if self.log_every < 1:
             raise ConfigError(f"log_every {self.log_every} must be >= 1")
-        if self.crop < 16 or self.crop % 16:
+        if self.crop < SIZE_MULTIPLE or self.crop % SIZE_MULTIPLE:
             raise ConfigError(f"crop {self.crop} must be a positive multiple "
-                              "of 16")
-        if not self.scales or min(self.scales) <= 0:
-            raise ConfigError(f"bad scales {self.scales}")
-        if not self.aspects or min(self.aspects) <= 0:
-            raise ConfigError(f"bad aspects {self.aspects}")
+                              f"of {SIZE_MULTIPLE}")
+        for field in ("scales", "aspects"):
+            values = getattr(self, field)
+            if not values or not all(math.isfinite(v) and v > 0
+                                     for v in values):
+                raise ConfigError(f"{field} {values} must be finite and > 0")
 
 
 def poly_lr(base_lr, iteration, max_iter, power=0.9):

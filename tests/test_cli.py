@@ -11,7 +11,7 @@ import pytest
 
 import stackseg
 from stackseg import cli
-from stackseg.data import load_samples, read_pgm
+from stackseg.data import load_samples, read_pgm, write_pgm
 from stackseg.network import StackedNet, mini_config
 from stackseg.weights_io import MAGIC, VERSION, load_weights, save_weights
 
@@ -193,6 +193,33 @@ def test_huge_classes_flag_exits_1(workspace, tmp_path, capsys):
                 "--iters", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "num_classes" in err
+
+
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_repeated_sample_name_exits_1(workspace, tmp_path, capsys, command):
+    """a/x.ppm and b/x.ppm would share one x_pred.pgm: infer used to keep
+    only the last map and eval to score both images against it."""
+    data = workspace / "data"
+    lines = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        shutil.copy(data / "synth0000.ppm", tmp_path / sub / "x.ppm")
+        shutil.copy(data / "synth0000_labels.pgm", tmp_path / sub / "x.pgm")
+        lines.append(f"{sub}/x.ppm\t{sub}/x.pgm\n")
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("num_classes = 3\n" + "".join(lines))
+    preds = tmp_path / "p"
+    argv = {"infer": ["--weights", str(workspace / "net.sdnw"),
+                      "--out", str(preds)],
+            "eval": ["--pred", str(preds)]}[command]
+    if command == "eval":
+        preds.mkdir()
+        write_pgm(preds / "x_pred.pgm", np.zeros((64, 64), np.uint8))
+    assert run([command, "--data", str(manifest)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'x'" in err
+    assert sorted(p.name for p in preds.glob("*")) == (
+        ["x_pred.pgm"] if command == "eval" else [])
 
 
 def _infer_fails_cleanly(tmp_path, capsys, weights):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stackseg.gradcheck import (
+    composite_check,
     max_rel_error,
     numeric_grad,
     rel_error,
@@ -160,27 +161,4 @@ def test_grad_softmax_ce():
 @pytest.mark.parametrize("seed", [12, 13])
 def test_grad_whole_graph_composite(seed):
     """conv -> bn -> relu -> pool -> deconv -> skip add -> resize -> CE."""
-    rng = np.random.default_rng(seed)
-    x = spread_values(rng, (2, 2, 8, 8))
-    w1 = rng.standard_normal((4, 2, 3, 3)) * 0.5
-    gamma = rng.standard_normal(4) + 1.5
-    beta = rng.standard_normal(4)
-    wd = rng.standard_normal((4, 3, 4, 4)) * 0.5
-    skip = rng.standard_normal((2, 3, 8, 8))
-    labels = rng.integers(0, 3, size=(2, 16, 16))
-    labels[0, :2] = 255
-
-    def build(xt, w1t, gt, bt, wdt, st):
-        h = conv2d(xt, w1t, pad=1)
-        h = batch_norm(h, gt, bt, np.zeros(4), np.ones(4), training=True)
-        h = relu(h)
-        h = maxpool2d(h, kernel=2)
-        h = deconv2d(h, wdt, stride=2, pad=1)
-        h = eltwise_add(h, st)
-        h = bilinear_resize(h, 16, 16)
-        return softmax_ce_loss(h, labels)
-
-    # conv mixing can park a relu input within the default step of zero,
-    # so the composite check runs with a finer one
-    err = max_rel_error(build, [x, w1, gamma, beta, wd, skip], step=2e-4)
-    assert err < 1e-3
+    assert composite_check(seed) < 1e-3

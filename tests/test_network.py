@@ -182,6 +182,8 @@ def test_forward_input_validation():
         net.forward(np.zeros((1, 1, 64, 64), dtype=np.float32))
     with pytest.raises(UsageError):
         net.forward(small_input(), training=True)  # dropout needs an rng
+    with pytest.raises(ConfigError, match="n >= 1"):
+        net.forward(np.zeros((0, 3, 64, 64), dtype=np.float32))
 
 
 def test_training_forward_updates_running_stats():
@@ -254,6 +256,13 @@ def test_predict_pads_each_image_with_its_mean_and_crops():
         assert np.array_equal(got, want)
     with pytest.raises(ConfigError):
         net.predict(x[0])
+
+
+def test_predict_rejects_an_empty_batch():
+    net = StackedNet(mini_config(3), seed=0)
+    for call in (net.predict, net.predict_logits):
+        with pytest.raises(ConfigError, match="n >= 1"):
+            call(np.zeros((0, 3, 64, 64), dtype=np.float32))
 
 
 @pytest.mark.parametrize("units", [1, 2])

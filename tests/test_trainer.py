@@ -142,6 +142,10 @@ def test_train_config_validation():
     for crop in (0, -16):
         with pytest.raises(ConfigError, match="crop"):
             TrainConfig(crop=crop).validate()
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for field in ("scales", "aspects"):
+            with pytest.raises(ConfigError, match=field):
+                TrainConfig(**{field: (1.0, bad)}).validate()
 
 
 # ---------------------------------------------------------------------------
