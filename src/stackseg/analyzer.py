@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .network import DOWN_LAYERS, UP_LAYERS
+from .network import DOWN_LAYERS, SKIP_BLOCKS, UP_LAYERS
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,8 @@ def encoder_accounting(p):
         params += block
         depth += layers * (2 if p.bottleneck else 1)
         chain += [(3, 1, dilation)] * layers
-        if i == 0:
-            skips[4] = c
-        elif i == 1:
-            skips[8] = c
+        if i in SKIP_BLOCKS:
+            skips[SKIP_BLOCKS[i]] = c
         if not last:
             out = c // 2
             params += _bn(c) + _conv(c, out, 1)

@@ -300,9 +300,10 @@ def synth_sample(rng, size=64, noise=0.08, name="sample"):
 def synth_dataset(count, size=64, noise=0.08, seed=0):
     """Deterministic list of synthetic samples; 3 classes."""
     # below 4 px no disk radius fits; NaN noise fails ``>= 0`` as well
-    if count < 1 or size < 4 or not noise >= 0:
-        raise DataError(f"synth: need count >= 1, size >= 4 and noise >= 0, "
-                        f"got count={count} size={size} noise={noise}")
+    if count < 1 or size < 4 or not noise >= 0 or seed < 0:
+        raise DataError(f"synth: need count >= 1, size >= 4, noise >= 0 and "
+                        f"seed >= 0, got count={count} size={size} "
+                        f"noise={noise} seed={seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return [synth_sample(rng, size, noise, name=f"synth{i:04d}")
             for i in range(count)]

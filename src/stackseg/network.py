@@ -231,6 +231,8 @@ class StackedNet(Module):
 
     def __init__(self, config, seed=0):
         config.validate()
+        if seed < 0:
+            raise ConfigError(f"seed {seed} must be >= 0")
         self.config = config
         p = config.profile
         rng = np.random.default_rng(np.random.SeedSequence(seed))

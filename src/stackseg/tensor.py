@@ -47,8 +47,8 @@ class Tensor:
 
     ``backward_fn`` receives the gradient w.r.t. this node and returns a
     tuple of gradients, one per parent (``None`` for non-differentiable
-    parents). Leaf tensors wrapping a :class:`Param` route their gradient
-    into ``param.grad`` instead. Under :func:`no_grad` both ``parents``
+    parents). Leaf tensors wrapping a :class:`Param` also add their
+    gradient into ``param.grad``. Under :func:`no_grad` both ``parents``
     and ``backward_fn`` are dropped; :func:`backward` replaces them with
     ``()`` and :func:`_consumed` once the node's gradient is passed on.
     """
@@ -113,6 +113,16 @@ def _consumed(g):
     raise UsageError(_CONSUMED)
 
 
+def _add(total, g):
+    """``g`` added to a running gradient sum that may not exist yet.
+
+    Out of place on purpose: one array can be the gradient of several
+    nodes (``eltwise_add`` hands ``g`` to both parents, a concatenation
+    hands out views of it), so summing into it would change the others.
+    """
+    return g if total is None else total + g
+
+
 def backward(loss_nodes):
     """Accumulate d(sum_k loss_k)/dparam into every reachable Param.grad.
 
@@ -138,11 +148,8 @@ def backward(loss_nodes):
 
     grads = {}  # id(node) -> accumulated ndarray
     for node in loss_nodes:
-        seed = np.asarray(1.0, dtype=node.data.dtype)
-        if id(node) in grads:
-            grads[id(node)] = grads[id(node)] + seed
-        else:
-            grads[id(node)] = seed
+        grads[id(node)] = _add(grads.get(id(node)),
+                               np.asarray(1.0, dtype=node.data.dtype))
 
     # keyed by id(): a node stays alive in ``order`` until it is popped,
     # and by then every consumer has already added its share
@@ -152,8 +159,10 @@ def backward(loss_nodes):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.param is not None:
-            node.param.accumulate_grad(g)
+        param = node.param
+        if param is not None:
+            param.grad = _add(param.grad,
+                              g.astype(param.value.dtype, copy=False))
         if node.backward_fn is None:
             node.grad = np.asarray(g)  # leaves keep their grad for checks
             continue
@@ -161,52 +170,31 @@ def backward(loss_nodes):
         parents = node.parents
         node.backward_fn, node.parents = _consumed, ()
         for parent, pg in zip(parents, parent_grads):
-            if pg is None:
-                continue
-            if id(parent) in grads:
-                grads[id(parent)] = grads[id(parent)] + pg
-            else:
-                grads[id(parent)] = pg
+            if pg is not None:
+                grads[id(parent)] = _add(grads.get(id(parent)), pg)
 
 
 class Param:
-    """A trainable tensor with its gradient and momentum buffers.
+    """A trainable value with its gradient and momentum.
 
-    ``grad`` and ``momentum_buf`` are allocated lazily so that building a
+    ``grad`` is None until :func:`backward` reaches the parameter; it then
+    holds the gradient summed over every backward since the last
+    :func:`stackseg.trainer.sgd_step`, which consumes it and sets it back
+    to None. ``momentum`` is None until the first step that updates the
+    parameter. Neither is allocated before it is needed, so building a
     large network for inspection does not triple its memory footprint.
     ``decay_exempt`` marks parameters excluded from weight decay (BN
     affine terms and biases).
     """
 
-    __slots__ = ("name", "value", "_grad", "_momentum", "decay_exempt")
+    __slots__ = ("name", "value", "grad", "momentum", "decay_exempt")
 
     def __init__(self, value, name="", decay_exempt=False):
         self.value = np.asarray(value)
         self.name = name
         self.decay_exempt = decay_exempt
-        self._grad = None
-        self._momentum = None
-
-    @property
-    def grad(self):
-        if self._grad is None:
-            self._grad = np.zeros_like(self.value)
-        return self._grad
-
-    @property
-    def momentum_buf(self):
-        if self._momentum is None:
-            self._momentum = np.zeros_like(self.value)
-        return self._momentum
-
-    def accumulate_grad(self, g):
-        if self._grad is None:
-            self._grad = np.zeros_like(self.value)
-        self._grad += g.astype(self.value.dtype, copy=False)
-
-    def zero_grad(self):
-        if self._grad is not None:
-            self._grad.fill(0.0)
+        self.grad = None
+        self.momentum = None
 
     def as_tensor(self):
         """Wrap the current value as a graph leaf that collects gradient."""

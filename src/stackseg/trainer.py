@@ -44,6 +44,10 @@ class TrainConfig:
         if self.crop < SIZE_MULTIPLE or self.crop % SIZE_MULTIPLE:
             raise ConfigError(f"crop {self.crop} must be a positive multiple "
                               f"of {SIZE_MULTIPLE}")
+        if not 0 <= self.hflip_prob <= 1:  # NaN fails as well
+            raise ConfigError(f"hflip_prob {self.hflip_prob} not in [0, 1]")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be >= 0")
         for field in ("scales", "aspects"):
             values = getattr(self, field)
             if not values or not all(math.isfinite(v) and v > 0
@@ -62,20 +66,23 @@ def poly_lr(base_lr, iteration, max_iter, power=0.9):
 def sgd_step(params, lr, momentum=0.9, weight_decay=5e-4):
     """v <- momentum*v + grad + wd*value; value <- value - lr*v.
 
-    Decay-exempt parameters (biases, BN affine) skip the L2 term.
-    Gradients are consumed: every touched parameter is zeroed after.
+    Decay-exempt parameters (biases, BN affine) skip the L2 term. A
+    parameter whose ``grad`` is None is not stepped; every other one gets
+    its ``momentum`` (zeros on its first step) updated and its ``grad``
+    consumed, set back to None.
     """
     for p in params:
-        if p._grad is None:
+        g = p.grad
+        if g is None:
             continue
-        g = p._grad
         if weight_decay and not p.decay_exempt:
             g = g + weight_decay * p.value
-        buf = p.momentum_buf
-        buf *= momentum
-        buf += g
-        p.value -= lr * buf
-        p.zero_grad()
+        if p.momentum is None:
+            p.momentum = np.zeros_like(p.value)
+        p.momentum *= momentum
+        p.momentum += g
+        p.value -= lr * p.momentum
+        p.grad = None
 
 
 def augment(sample, cfg, rng, fill):
@@ -86,7 +93,8 @@ def augment(sample, cfg, rng, fill):
     h, w = sample.image.shape[1:]
     nh = max(1, int(round(h * s * math.sqrt(a))))
     nw = max(1, int(round(w * s / math.sqrt(a))))
-    image = resize_bilinear_array(sample.image.astype(np.float32), nh, nw)
+    image = resize_bilinear_array(sample.image.astype(np.float32, copy=False),
+                                  nh, nw)
     labels = resize_nearest_labels(sample.labels, nh, nw)
 
     crop = cfg.crop

@@ -79,10 +79,10 @@ def network_spot_check(seed, num_coords=12, step=2e-4):
         f_minus = total_loss()
         flat[i] = orig
         numeric = (f_plus - f_minus) / (2.0 * step)
-        analytic = float(param._grad.reshape(-1)[i])
+        analytic = float(param.grad.reshape(-1)[i])
         denom = max(abs(numeric), abs(analytic), 1e-8)
         worst = max(worst, abs(numeric - analytic) / denom)
-        param.zero_grad()
+        param.grad = None
     return worst
 
 

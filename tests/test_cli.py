@@ -112,6 +112,21 @@ def test_synth_rejects_bad_arguments(tmp_path, capsys, flag, value):
     assert not (out / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_negative_seed_exits_1(workspace, tmp_path, capsys, command):
+    # numpy's SeedSequence used to raise a bare ValueError here
+    out = tmp_path / "out"
+    argv = {"synth": ["synth", "--out", str(out), "--count", "2",
+                      "--size", "16"],
+            "train": ["train", "--out", str(out), "--iters", "1",
+                      "--data", str(workspace / "data" / "manifest.txt")]}
+    assert run(argv[command] + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_analyze_sweep_and_check_built(capsys):
     assert run(["analyze", "--profile", "mini", "--units", "2",
                 "--classes", "3", "--sweep", "3", "--check-built"]) == 0

@@ -278,3 +278,5 @@ def test_synth_dataset_deterministic_and_well_formed():
         assert s.image.dtype == np.float32 and s.labels.dtype == np.uint8
         assert s.image.min() >= 0.0 and s.image.max() <= 1.0
         assert set(np.unique(s.labels)) <= {0, 1, 2}
+    with pytest.raises(DataError, match="seed"):
+        synth_dataset(3, size=48, seed=-1)

@@ -34,6 +34,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         mini_config(3, supervision_ratios=(4, 4)).validate()
     mini_config(3, num_units=3).validate()  # fine
+    with pytest.raises(ConfigError, match="seed"):
+        StackedNet(mini_config(3), seed=-1)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -137,7 +139,7 @@ def test_training_backward_reaches_every_param():
     named = net.losses(maps, labels)
     backward([l for _, l, _ in named])
     untouched = [p.name for p in net.params()
-                 if p._grad is None or not np.any(p._grad)]
+                 if p.grad is None or not np.any(p.grad)]
     assert untouched == []
 
 

@@ -207,6 +207,15 @@ def test_resize_matrix_rows_are_convex_combinations():
     assert (m >= 0).all()
 
 
+def test_resize_matrix_is_cached_and_read_only():
+    m = resize_matrix(7, 19, np.dtype(np.float32))
+    assert resize_matrix(7, 19, np.dtype(np.float32)) is m
+    assert m.dtype == np.float32 and not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 2.0
+    assert resize_matrix(7, 19) is not m  # float64 is its own entry
+
+
 def test_bilinear_resize_1d_hand_example():
     x = Tensor(np.array([1.0, 3.0]).reshape(1, 1, 1, 2))
     out = bilinear_resize(x, 1, 4)

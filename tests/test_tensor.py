@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from stackseg import Param, Tensor, UsageError, backward, no_grad, toposort
 from stackseg.ops import eltwise_add
+from stackseg.trainer import sgd_step
 
 
 def scale(t, k):
@@ -71,22 +72,34 @@ def test_backward_rejects_bad_calls():
 
 def test_param_grad_accumulation_and_reset():
     p = Param(np.array([1.0, 2.0]), name="w")
-    assert p._grad is None
-    loss = to_scalar(scale(p.as_tensor(), 3.0))
-    backward([loss])
+    idle = Param(np.array([5.0]), name="idle")  # no loss reaches it
+    assert p.grad is None and p.momentum is None
+    backward([to_scalar(scale(p.as_tensor(), 3.0))])
     assert_allclose(p.grad, [3.0, 3.0])
     backward([to_scalar(scale(p.as_tensor(), 1.0))])
     assert_allclose(p.grad, [4.0, 4.0])
-    p.zero_grad()
-    assert_allclose(p.grad, [0.0, 0.0])
+    # eltwise_add hands one array to both parents, so q.grad is y.grad;
+    # the next backward must sum out of place and leave y.grad alone
+    q = Param(np.zeros(2), name="q")
+    y = Tensor(np.zeros(2))
+    backward([to_scalar(eltwise_add(y, q.as_tensor()))])
+    assert np.shares_memory(q.grad, y.grad)
+    backward([to_scalar(scale(q.as_tensor(), 2.0))])
+    assert_allclose(q.grad, [3.0, 3.0])
+    assert_allclose(y.grad, [1.0, 1.0])
+
+    sgd_step([p, idle], lr=0.5, momentum=0.9, weight_decay=0.0)
+    assert p.grad is None
+    assert_allclose(p.momentum, [4.0, 4.0])
+    assert_allclose(p.value, [-1.0, 0.0])
+    assert idle.grad is None and idle.momentum is None
+    assert idle.value[0] == 5.0
 
 
 def test_param_flags_and_buffers():
     p = Param(np.zeros((2, 2)), name="bn.gamma", decay_exempt=True)
     assert p.decay_exempt
-    assert p._momentum is None
-    p.momentum_buf[0, 0] = 1.0
-    assert p.momentum_buf[0, 0] == 1.0
+    assert p.grad is None and p.momentum is None
     assert "bn.gamma" in repr(p)
 
 
@@ -133,7 +146,7 @@ def test_backward_rejects_loss_built_under_no_grad():
         loss = to_scalar(scale(p.as_tensor(), 3.0))
     with pytest.raises(UsageError, match="no_grad"):
         backward([loss])
-    assert p._grad is None
+    assert p.grad is None
     # leaves made under no_grad are still valid loss nodes
     with no_grad():
         leaf = Tensor(np.asarray(2.0))

@@ -42,7 +42,7 @@ def test_sgd_two_steps_match_hand_value():
     p = Param(np.array([1.0, 2.0], dtype=np.float32), name="w")
     g = np.array([0.5, -1.0], dtype=np.float32)
     for _ in range(2):
-        p.accumulate_grad(g)
+        p.grad = g
         sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0)
     # w2 = w0 - lr*g*(1 + (1 + momentum)) = w0 - lr*g*2.9
     assert_allclose(p.value, [1.0 - 0.1 * 0.5 * 2.9, 2.0 + 0.1 * 1.0 * 2.9],
@@ -54,7 +54,7 @@ def test_sgd_weight_decay_and_exemption():
     exempt = Param(np.array([2.0], dtype=np.float32), name="b",
                    decay_exempt=True)
     for p in (decayed, exempt):
-        p.accumulate_grad(np.zeros(1, dtype=np.float32))
+        p.grad = np.zeros(1, dtype=np.float32)
     sgd_step([decayed, exempt], lr=0.1, momentum=0.9, weight_decay=0.5)
     assert_allclose(decayed.value, [2.0 - 0.1 * 0.5 * 2.0], rtol=1e-6)
     assert_allclose(exempt.value, [2.0])
@@ -63,10 +63,11 @@ def test_sgd_weight_decay_and_exemption():
 def test_sgd_consumes_grads_and_skips_untouched_params():
     touched = Param(np.array([1.0], dtype=np.float32), name="a")
     untouched = Param(np.array([3.0], dtype=np.float32), name="b")
-    touched.accumulate_grad(np.array([1.0], dtype=np.float32))
+    touched.grad = np.array([1.0], dtype=np.float32)
     sgd_step([touched, untouched], lr=0.1)
-    assert (touched._grad == 0).all()
-    assert untouched._grad is None and untouched.value[0] == 3.0
+    assert touched.grad is None and touched.momentum is not None
+    assert untouched.value[0] == 3.0
+    assert untouched.grad is None and untouched.momentum is None
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +147,11 @@ def test_train_config_validation():
         for field in ("scales", "aspects"):
             with pytest.raises(ConfigError, match=field):
                 TrainConfig(**{field: (1.0, bad)}).validate()
+    for prob in (float("nan"), 2.0, -1.0):
+        with pytest.raises(ConfigError, match="hflip_prob"):
+            TrainConfig(hflip_prob=prob).validate()
+    with pytest.raises(ConfigError, match="seed"):
+        TrainConfig(seed=-1).validate()
 
 
 # ---------------------------------------------------------------------------
