@@ -11,7 +11,6 @@ Usage errors exit 2 (argparse); data/config problems exit 1.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -21,7 +20,7 @@ from .data import IGNORE_INDEX, load_samples, read_pgm, save_dataset, \
 from .errors import ConfigError, DataError, DivergenceError, UsageError
 from .gradcheck import composite_check, primitive_sweep
 from .metrics import EvalAccumulator
-from .network import PROFILES, NetworkConfig, StackedNet, \
+from .network import MS_SCALES, PROFILES, NetworkConfig, StackedNet, \
     config_from_state, predict_ms_flip
 from .trainer import TrainConfig, train
 from .weights_io import load_weights, save_weights
@@ -32,13 +31,6 @@ def _parse_csv(text, kind, what):
         return tuple(kind(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"cannot parse {what} {text!r}")
-
-
-def _parse_scales(text):
-    scales = _parse_csv(text, float, "scales")
-    if not all(math.isfinite(s) and s > 0 for s in scales):
-        raise ConfigError(f"scales {text!r} must be finite and > 0")
-    return scales
 
 
 def _num_classes(args, meta):
@@ -104,18 +96,19 @@ def cmd_train(args):
 
 
 def cmd_infer(args):
-    scales = _parse_scales(args.scales) if args.ms_flip else None
+    scales = (_parse_csv(args.scales, float, "scales") if args.ms_flip
+              else None)
     state = load_weights(args.weights)
     state.pop("meta.config", None)  # the config copy earlier versions wrote
     net = StackedNet(config_from_state(state))
     net.load_state(state)
     _, samples = _load_named_samples(args.data)
-    os.makedirs(args.out, exist_ok=True)
     for s in samples:
         if args.ms_flip:
             pred = predict_ms_flip(net, s.image, scales=scales, mirror=True)
         else:
             pred = net.predict(s.image[None])[0]
+        os.makedirs(args.out, exist_ok=True)  # once the first map exists
         write_pgm(os.path.join(args.out, f"{s.name}_pred.pgm"), pred)
     print(f"wrote {len(samples)} prediction maps to {args.out}")
     return 0
@@ -210,13 +203,13 @@ def build_parser():
                    help="overrides the manifest's num_classes")
     p.add_argument("--supervision", default="16,8,4",
                    help="comma-separated score ratios")
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--crop", type=int, default=64)
-    p.add_argument("--lr", type=float, default=2.5e-4)
+    p.add_argument("--iters", type=int, default=TrainConfig.max_iter)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--crop", type=int, default=TrainConfig.crop)
+    p.add_argument("--lr", type=float, default=TrainConfig.base_lr)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log", default="", help="write log rows to this file")
-    p.add_argument("--log-every", type=int, default=10)
+    p.add_argument("--log-every", type=int, default=TrainConfig.log_every)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="write prediction maps for a manifest")
@@ -225,7 +218,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--ms-flip", action="store_true",
                    help="average over scales and mirrors")
-    p.add_argument("--scales", default="0.5,0.8,1.0,1.2,1.4")
+    p.add_argument("--scales", default=",".join(map(str, MS_SCALES)))
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against labels")

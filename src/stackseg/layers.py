@@ -28,8 +28,9 @@ from .ops import (
 from .tensor import Param
 
 
-def he_normal(rng, shape, fan_in, dtype=np.float32):
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+def he_normal(rng, shape, fan_in):
+    return (rng.standard_normal(shape)
+            * np.sqrt(2.0 / fan_in)).astype(np.float32)
 
 
 def avg_pool_half(x):
@@ -48,7 +49,7 @@ def _collect(obj, params, buffers):
             params.append(value)
         elif isinstance(value, (Module, list, tuple, dict)):
             _collect(value, params, buffers)
-    if isinstance(obj, BatchNormLayer):
+    if isinstance(obj, BnRelu):
         buffers += [(f"{obj.name}.running_mean", obj.running_mean),
                     (f"{obj.name}.running_var", obj.running_var)]
 
@@ -89,7 +90,10 @@ class ConvLayer(Module):
                       pad=self.pad, dilation=self.dilation)
 
 
-class BatchNormLayer(Module):
+class BnRelu(Module):
+    """Batch norm followed by ReLU: every batch norm in the network feeds
+    one."""
+
     def __init__(self, name, channels):
         self.name = name
         self.gamma = Param(np.ones(channels, dtype=np.float32),
@@ -100,8 +104,9 @@ class BatchNormLayer(Module):
         self.running_var = np.ones(channels, dtype=np.float32)
 
     def __call__(self, x, training=False):
-        return batch_norm(x, self.gamma.as_tensor(), self.beta.as_tensor(),
-                          self.running_mean, self.running_var, training)
+        return relu(batch_norm(x, self.gamma.as_tensor(),
+                               self.beta.as_tensor(), self.running_mean,
+                               self.running_var, training))
 
 
 class BnActConv(Module):
@@ -109,13 +114,13 @@ class BnActConv(Module):
 
     def __init__(self, name, in_c, out_c, kernel, rng, dilation=1,
                  bias=False, keep_prob=1.0):
-        self.bn = BatchNormLayer(f"{name}.bn", in_c)
+        self.bn = BnRelu(f"{name}.bn", in_c)
         self.conv = ConvLayer(f"{name}.conv", in_c, out_c, kernel, rng,
                               dilation=dilation, bias=bias)
         self.keep_prob = keep_prob
 
     def __call__(self, x, training=False, rng=None):
-        h = self.conv(relu(self.bn(x, training)))
+        h = self.conv(self.bn(x, training))
         return dropout(h, self.keep_prob, training, rng)
 
 
@@ -124,12 +129,12 @@ class UpsampleLayer(Module):
     and pad 1; doubles height/width."""
 
     def __init__(self, name, in_c, out_c, rng):
-        self.bn = BatchNormLayer(f"{name}.bn", in_c)
+        self.bn = BnRelu(f"{name}.bn", in_c)
         self.w = Param(he_normal(rng, (in_c, out_c, 4, 4), in_c * 4 * 4),
                        f"{name}.w")
 
     def __call__(self, x, training=False):
-        return deconv2d(relu(self.bn(x, training)), self.w.as_tensor())
+        return deconv2d(self.bn(x, training), self.w.as_tensor())
 
 
 class DenseBlock(Module):

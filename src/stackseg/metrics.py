@@ -8,13 +8,13 @@ from .errors import DataError, UsageError
 
 
 class EvalAccumulator:
-    """Confusion matrix fed batch by batch; row = truth, column = predicted."""
+    """Confusion matrix fed batch by batch; row = truth, column = predicted.
+    Pixels labelled IGNORE_INDEX are not counted."""
 
-    def __init__(self, num_classes, ignore_index=IGNORE_INDEX):
+    def __init__(self, num_classes):
         if num_classes < 2:
             raise DataError(f"num_classes={num_classes}, need >= 2")
         self.num_classes = num_classes
-        self.ignore_index = ignore_index
         self.matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
 
     def update(self, truth, predicted):
@@ -27,7 +27,7 @@ class EvalAccumulator:
             if not np.can_cast(a.dtype, np.intp, "same_kind"):
                 raise DataError(f"{name} labels must be integers, not "
                                 f"{a.dtype}")
-        keep = truth != self.ignore_index
+        keep = truth != IGNORE_INDEX
         t = truth[keep].ravel()
         p = predicted[keep].ravel()
         c = self.num_classes

@@ -15,6 +15,7 @@ prediction is the last unit's fused ratio-4 map.
 """
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -23,10 +24,10 @@ import numpy as np
 
 from .data import IGNORE_INDEX, pad_to_multiple
 from .errors import ConfigError, DataError, UsageError
-from .layers import BatchNormLayer, BnActConv, ConvLayer, DenseBlock, \
+from .layers import BnActConv, BnRelu, ConvLayer, DenseBlock, \
     Module, TransitionDown, UpsampleLayer
 from .ops import bilinear_resize, concat_channels, eltwise_add, maxpool2d, \
-    relu, resize_bilinear_array, softmax_ce_loss, softmax_probs
+    resize_bilinear_array, softmax_ce_loss, softmax_probs
 from .tensor import Tensor, no_grad
 
 SIZE_MULTIPLE = 16  # inputs must divide evenly down to the deepest scale
@@ -34,6 +35,7 @@ KEEP_PROB = 0.8  # dropout keep probability of every stacked-unit conv
 DOWN_LAYERS = (2, 4)  # dense layers of a unit's two down stages
 UP_LAYERS = (2, 2)  # and of its two up stages, in both profiles
 SKIP_BLOCKS = {0: 4, 1: 8}  # encoder blocks 1, 2 feed the ratio-4, -8 skips
+MS_SCALES = (0.5, 0.8, 1.0, 1.2, 1.4)  # predict_ms_flip's default scales
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ class DenseEncoder(Module):
         c = p.stem_channels
         self.stem = ConvLayer(f"{name}.stem", 3, c, p.stem_kernel, rng,
                               stride=2)
-        self.stem_bn = BatchNormLayer(f"{name}.stem_bn", c)
+        self.stem_bn = BnRelu(f"{name}.stem_bn", c)
         self.stem_pool = p.stem_pool
         self.stages = []  # (dense block, transition or None)
         self.skip_channels = {}
@@ -138,12 +140,12 @@ class DenseEncoder(Module):
                                        pool=i < 2)
                 c = out
             self.stages.append((block, trans))
-        self.final_bn = BatchNormLayer(f"{name}.final_bn", c)
+        self.final_bn = BnRelu(f"{name}.final_bn", c)
         self.out_channels = c
 
     def __call__(self, x, training=False, rng=None):
         h = self.stem(x)
-        h = relu(self.stem_bn(h, training))
+        h = self.stem_bn(h, training)
         h = maxpool2d(h, kernel=self.stem_pool, stride=2,
                       pad=1 if self.stem_pool == 3 else 0)
         skips = {}
@@ -153,7 +155,7 @@ class DenseEncoder(Module):
                 skips[SKIP_BLOCKS[i]] = h
             if trans is not None:
                 h = trans(h, training, rng)
-        return relu(self.final_bn(h, training)), skips
+        return self.final_bn(h, training), skips
 
 
 class Stage(Module):
@@ -402,17 +404,20 @@ def config_from_state(state):
     return cfg
 
 
-def predict_ms_flip(net, image, scales=(0.5, 0.8, 1.0, 1.2, 1.4),
-                    mirror=True, return_probs=False):
+def predict_ms_flip(net, image, scales=MS_SCALES, mirror=True,
+                    return_probs=False):
     """Average class probabilities over scales (and mirrors) of one image.
 
     ``image`` is (3, h, w); returns the (h, w) label map, or the pair
-    (labels, averaged probabilities) when ``return_probs`` is set. Scales
-    whose resized short side would fall below ``SIZE_MULTIPLE`` are
-    skipped with a warning. Each variant is padded to the size multiple
+    (labels, averaged probabilities) when ``return_probs`` is set. Every
+    scale must be finite and > 0 (else ``ConfigError``); scales whose
+    resized short side would fall below ``SIZE_MULTIPLE`` are skipped
+    with a warning. Each variant is padded to the size multiple
     with the image's mean pixel, scored, cropped back, softmaxed, and
     resized to the original resolution before averaging.
     """
+    if not all(math.isfinite(s) and s > 0 for s in scales):
+        raise ConfigError(f"scales {scales} must be finite and > 0")
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != 3:
         raise DataError(f"expected (3, h, w) image, got {image.shape}")

@@ -414,13 +414,17 @@ def resize_nearest_labels(labels, out_h, out_w):
 # ---------------------------------------------------------------------------
 # normalization / regularization / glue
 
-def batch_norm(x, gamma, beta, running_mean, running_var, training,
-               eps=1e-5, momentum=0.9):
-    """Per-channel batch normalization over (n, h, w).
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.9  # weight of the old running statistics
+
+
+def batch_norm(x, gamma, beta, running_mean, running_var, training):
+    """Per-channel batch normalization over (n, h, w), with BN_EPS added
+    to the variance.
 
     Training mode normalizes with batch statistics and folds them into
-    the running arrays in place, as running = momentum * running +
-    (1 - momentum) * batch; inference mode normalizes with the running
+    the running arrays in place, as running = BN_MOMENTUM * running +
+    (1 - BN_MOMENTUM) * batch; inference mode normalizes with the running
     arrays as they are. Either way the node keeps only the per-channel
     ``mean`` and ``inv_std`` it used; backward recomputes ``xhat`` from
     ``x`` with the forward's own expressions, so it is bitwise the value
@@ -438,11 +442,11 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         mean = x.data.mean(axis=(0, 2, 3))
         out = x.data - mean.reshape(cshape)
         var = np.einsum("nchw,nchw->c", out, out) / (n * h * w)
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mean
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
-        inv_std = 1.0 / np.sqrt(var + eps)
+        running_mean *= BN_MOMENTUM
+        running_mean += (1.0 - BN_MOMENTUM) * mean
+        running_var *= BN_MOMENTUM
+        running_var += (1.0 - BN_MOMENTUM) * var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         out *= inv_std.reshape(cshape)
         out *= gamma.data.reshape(cshape)
         out += beta.data.reshape(cshape)
@@ -450,7 +454,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         # a copy: a later training forward may update the running arrays
         # before this node's backward reads ``mean``
         mean = running_mean.astype(x.data.dtype)
-        inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype, copy=False) + eps)
+        inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype, copy=False)
+                                 + BN_EPS)
         a = gamma.data * inv_std
         out = x.data * a.reshape(cshape)
         out += (beta.data - mean * a).reshape(cshape)

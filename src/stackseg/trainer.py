@@ -19,6 +19,15 @@ from .network import SIZE_MULTIPLE
 from .ops import resize_bilinear_array, resize_nearest_labels
 from .tensor import backward
 
+# one fixed recipe: poly decay, momentum and weight decay as in DeepLab
+# (Chen et al. 2016, arXiv 1606.00915), random scale, aspect and mirror
+POLY_POWER = 0.9
+MOMENTUM = 0.9
+WEIGHT_DECAY = 5e-4
+SCALES = (0.6, 0.8, 1.0, 1.2, 1.4)
+ASPECTS = (0.7, 0.85, 1.0, 1.15, 1.3)
+HFLIP_PROB = 0.5
+
 
 @dataclass
 class TrainConfig:
@@ -26,9 +35,6 @@ class TrainConfig:
     batch_size: int = 4
     crop: int = 64
     max_iter: int = 1000
-    scales: tuple = (0.6, 0.8, 1.0, 1.2, 1.4)
-    aspects: tuple = (0.7, 0.85, 1.0, 1.15, 1.3)
-    hflip_prob: float = 0.5
     seed: int = 0
     log_every: int = 10
 
@@ -44,27 +50,20 @@ class TrainConfig:
         if self.crop < SIZE_MULTIPLE or self.crop % SIZE_MULTIPLE:
             raise ConfigError(f"crop {self.crop} must be a positive multiple "
                               f"of {SIZE_MULTIPLE}")
-        if not 0 <= self.hflip_prob <= 1:  # NaN fails as well
-            raise ConfigError(f"hflip_prob {self.hflip_prob} not in [0, 1]")
         if self.seed < 0:
             raise ConfigError(f"seed {self.seed} must be >= 0")
-        for field in ("scales", "aspects"):
-            values = getattr(self, field)
-            if not values or not all(math.isfinite(v) and v > 0
-                                     for v in values):
-                raise ConfigError(f"{field} {values} must be finite and > 0")
 
 
-def poly_lr(base_lr, iteration, max_iter, power=0.9):
-    """base * (1 - it/max_iter)^power, clamped to 0 past the horizon."""
+def poly_lr(base_lr, iteration, max_iter):
+    """base * (1 - it/max_iter)^POLY_POWER, clamped to 0 past the horizon."""
     if max_iter <= 0:
         raise ConfigError(f"max_iter={max_iter}")
     frac = min(iteration / max_iter, 1.0)
-    return base_lr * (1.0 - frac) ** power
+    return base_lr * (1.0 - frac) ** POLY_POWER
 
 
-def sgd_step(params, lr, momentum=0.9, weight_decay=5e-4):
-    """v <- momentum*v + grad + wd*value; value <- value - lr*v.
+def sgd_step(params, lr):
+    """v <- MOMENTUM*v + grad + WEIGHT_DECAY*value; value <- value - lr*v.
 
     Decay-exempt parameters (biases, BN affine) skip the L2 term. A
     parameter whose ``grad`` is None is not stepped; every other one gets
@@ -75,21 +74,22 @@ def sgd_step(params, lr, momentum=0.9, weight_decay=5e-4):
         g = p.grad
         if g is None:
             continue
-        if weight_decay and not p.decay_exempt:
-            g = g + weight_decay * p.value
+        if not p.decay_exempt:
+            g = g + WEIGHT_DECAY * p.value
         if p.momentum is None:
             p.momentum = np.zeros_like(p.value)
-        p.momentum *= momentum
+        p.momentum *= MOMENTUM
         p.momentum += g
         p.value -= lr * p.momentum
         p.grad = None
 
 
 def augment(sample, cfg, rng, fill):
-    """Random resize by scale*sqrt(aspect), crop (padding short sides with
-    the dataset mean / ignore), and coin-flip mirror."""
-    s = cfg.scales[rng.integers(len(cfg.scales))]
-    a = cfg.aspects[rng.integers(len(cfg.aspects))]
+    """Random resize by scale*sqrt(aspect) (one of SCALES and ASPECTS each),
+    crop to ``cfg.crop`` (padding short sides with the dataset mean /
+    ignore), and mirror with probability HFLIP_PROB."""
+    s = SCALES[rng.integers(len(SCALES))]
+    a = ASPECTS[rng.integers(len(ASPECTS))]
     h, w = sample.image.shape[1:]
     nh = max(1, int(round(h * s * math.sqrt(a))))
     nw = max(1, int(round(w * s / math.sqrt(a))))
@@ -105,7 +105,7 @@ def augment(sample, cfg, rng, fill):
     x0 = int(rng.integers(nw - crop + 1))
     image = image[:, y0:y0 + crop, x0:x0 + crop]
     labels = labels[y0:y0 + crop, x0:x0 + crop]
-    if rng.random() < cfg.hflip_prob:
+    if rng.random() < HFLIP_PROB:
         image = image[:, :, ::-1]
         labels = labels[:, ::-1]
     return np.ascontiguousarray(image), np.ascontiguousarray(labels)

@@ -174,7 +174,7 @@ def test_criterion_04_shape_contract():
 def test_criterion_05_poly_schedule():
     start = poly_lr(2.5e-4, 0, 30000)
     end = poly_lr(2.5e-4, 30000, 30000)
-    mid = poly_lr(2.5e-4, 15000, 30000, power=0.9)
+    mid = poly_lr(2.5e-4, 15000, 30000)
     mid_err = abs(mid - 2.5e-4 * 0.5 ** 0.9)
     ok = start == 2.5e-4 and end == 0.0 and mid_err < 1e-9
     report(5, ok, f"lr(0)={start}, lr(max)={end}, midpoint off by "

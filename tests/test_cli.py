@@ -12,7 +12,9 @@ import pytest
 import stackseg
 from stackseg import cli
 from stackseg.data import load_samples, read_pgm, write_pgm
-from stackseg.network import StackedNet, mini_config
+from stackseg.network import MS_SCALES, StackedNet, mini_config, \
+    predict_ms_flip
+from stackseg.trainer import TrainConfig
 from stackseg.weights_io import MAGIC, VERSION, load_weights, save_weights
 
 
@@ -335,6 +337,19 @@ def test_infer_rejects_bad_scales(workspace, tmp_path, capsys, scales):
                 "--scales", scales]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "scales" in err
+    assert not (tmp_path / "p").exists()
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    args = parser.parse_args(["train", "--data", "m", "--out", "w"])
+    lib = TrainConfig()
+    assert (args.lr, args.batch, args.crop, args.iters, args.log_every) == \
+        (lib.base_lr, lib.batch_size, lib.crop, lib.max_iter, lib.log_every)
+    args = parser.parse_args(["infer", "--weights", "w", "--data", "m",
+                              "--out", "o", "--ms-flip"])
+    assert tuple(map(float, args.scales.split(","))) == MS_SCALES
+    assert predict_ms_flip.__defaults__[0] is MS_SCALES
 
 
 def test_eval_rejects_corrupt_prediction_map(workspace, tmp_path, capsys):

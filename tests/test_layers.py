@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 from stackseg import ConfigError, Tensor, backward, toposort
 from stackseg.gradcheck import weighted_sum
 from stackseg.layers import (
-    BatchNormLayer,
     BnActConv,
+    BnRelu,
     ConvLayer,
     DenseBlock,
     Module,
@@ -15,7 +15,7 @@ from stackseg.layers import (
     avg_pool_half,
     he_normal,
 )
-from stackseg.ops import concat_channels
+from stackseg.ops import batch_norm, concat_channels, relu
 
 
 def test_he_normal_scale():
@@ -51,14 +51,20 @@ def test_conv_layer_same_padding_and_bias():
 
 
 def test_batch_norm_layer_param_and_buffer_names():
-    bn = BatchNormLayer("block.bn", 5)
+    bn = BnRelu("block.bn", 5)
     assert [p.name for p in bn.params()] == ["block.bn.gamma", "block.bn.beta"]
     assert [n for n, _ in bn.buffers()] == ["block.bn.running_mean",
                                             "block.bn.running_var"]
     assert all(p.decay_exempt for p in bn.params())
     x = np.random.default_rng(0).standard_normal((2, 5, 3, 3)) + 4.0
-    bn(Tensor(x.astype(np.float32)), training=True)
+    out = bn(Tensor(x.astype(np.float32)), training=True)
     assert bn.running_mean.max() > 0  # stats moved off their init
+    # the layer is batch_norm then relu, in that order, nothing else
+    assert out.op == "relu" and out.parents[0].op == "batch_norm"
+    want = relu(batch_norm(x.astype(np.float32), np.ones(5, np.float32),
+                           np.zeros(5, np.float32), np.zeros(5, np.float32),
+                           np.ones(5, np.float32), training=True))
+    assert np.array_equal(out.data, want.data)
 
 
 def test_walk_descends_into_dicts_in_insertion_order():
@@ -66,7 +72,7 @@ def test_walk_descends_into_dicts_in_insertion_order():
         def __init__(self):
             rng = np.random.default_rng(0)
             self.head = {"z": ConvLayer("z", 2, 3, 1, rng),
-                         "a": [BatchNormLayer("a", 3)]}
+                         "a": [BnRelu("a", 3)]}
 
     holder = Holder()
     assert [p.name for p in holder.params()] == ["z.w", "a.gamma", "a.beta"]

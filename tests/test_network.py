@@ -352,6 +352,13 @@ def test_ms_flip_skips_tiny_scales_and_predicts():
         predict_ms_flip(net, image, scales=(0.01,))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_ms_flip_rejects_non_finite_or_non_positive_scales(bad):
+    net = StackedNet(mini_config(3), seed=0)
+    with pytest.raises(ConfigError, match="scales"):
+        predict_ms_flip(net, small_input()[0], scales=(1.0, bad))
+
+
 def test_ms_flip_single_scale_no_mirror_equals_plain_predict():
     net = StackedNet(mini_config(3, num_units=2), seed=0)
     image = small_input()[0]

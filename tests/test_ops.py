@@ -274,8 +274,11 @@ def test_batch_norm_training_normalizes_and_tracks_stats():
     out = batch_norm(Tensor(x), gamma, beta, mean, var, training=True)
     assert_allclose(out.data.mean(axis=(0, 2, 3)), np.zeros(3), atol=1e-10)
     assert_allclose(out.data.var(axis=(0, 2, 3)), np.ones(3), atol=1e-4)
-    assert_allclose(mean, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
-    assert_allclose(var, 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2, 3)), rtol=1e-12)
+    assert_allclose(mean, (1 - ops.BN_MOMENTUM) * x.mean(axis=(0, 2, 3)),
+                    rtol=1e-12)
+    assert_allclose(var, ops.BN_MOMENTUM * 1.0
+                    + (1 - ops.BN_MOMENTUM) * x.var(axis=(0, 2, 3)),
+                    rtol=1e-12)
 
 
 def test_batch_norm_running_var_is_biased_batch_var():
@@ -286,8 +289,9 @@ def test_batch_norm_running_var_is_biased_batch_var():
     old = var.astype(np.float64)
     batch_norm(Tensor(x), Tensor(np.ones(5, np.float32)),
                Tensor(np.zeros(5, np.float32)), np.zeros(5, np.float32), var,
-               training=True, momentum=0.7)
-    want = 0.7 * old + 0.3 * x.astype(np.float64).var(axis=(0, 2, 3))
+               training=True)
+    want = ops.BN_MOMENTUM * old + (1 - ops.BN_MOMENTUM) \
+        * x.astype(np.float64).var(axis=(0, 2, 3))
     assert var.dtype == np.float32
     assert_allclose(var, want, rtol=1e-6)
 
@@ -297,10 +301,10 @@ def test_batch_norm_inference_uses_running_stats():
     mean, var = np.array([1.0, 5.0]), np.array([4.0, 1.0])
     gamma = Tensor(np.array([2.0, 3.0]))
     beta = Tensor(np.array([0.5, -1.0]))
-    out = batch_norm(Tensor(x), gamma, beta, mean, var, training=False,
-                     eps=0.0)
-    # channel 0: 2 * (5-1)/2 + 0.5; channel 1: 3 * 0 - 1
-    assert_allclose(out.data.ravel(), [4.5, -1.0], rtol=1e-12)
+    out = batch_norm(Tensor(x), gamma, beta, mean, var, training=False)
+    # channel 0: 2 * (5-1)/sqrt(4 + eps) + 0.5; channel 1: 3 * 0 - 1
+    assert_allclose(out.data.ravel(),
+                    [8.0 / np.sqrt(4.0 + ops.BN_EPS) + 0.5, -1.0], rtol=1e-12)
     assert_allclose(mean, [1.0, 5.0])  # inference must not touch stats
     assert_allclose(var, [4.0, 1.0])
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from stackseg import Param, Tensor, UsageError, backward, no_grad, toposort
 from stackseg.ops import eltwise_add
-from stackseg.trainer import sgd_step
+from stackseg.trainer import WEIGHT_DECAY, sgd_step
 
 
 def scale(t, k):
@@ -88,10 +88,11 @@ def test_param_grad_accumulation_and_reset():
     assert_allclose(q.grad, [3.0, 3.0])
     assert_allclose(y.grad, [1.0, 1.0])
 
-    sgd_step([p, idle], lr=0.5, momentum=0.9, weight_decay=0.0)
+    sgd_step([p, idle], lr=0.5)
     assert p.grad is None
-    assert_allclose(p.momentum, [4.0, 4.0])
-    assert_allclose(p.value, [-1.0, 0.0])
+    step = np.array([4.0, 4.0]) + WEIGHT_DECAY * np.array([1.0, 2.0])
+    assert_allclose(p.momentum, step)
+    assert_allclose(p.value, np.array([1.0, 2.0]) - 0.5 * step)
     assert idle.grad is None and idle.momentum is None
     assert idle.value[0] == 5.0
 

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stackseg import ConfigError, DataError, Param
+import stackseg
+from stackseg import ConfigError, DataError, DivergenceError, Param, trainer
 from stackseg.data import Sample, synth_dataset
-from stackseg.errors import DivergenceError
 from stackseg.network import StackedNet, mini_config
 from stackseg.trainer import (
+    MOMENTUM,
+    POLY_POWER,
+    WEIGHT_DECAY,
     TrainConfig,
     augment,
     evaluate,
@@ -23,13 +26,14 @@ from stackseg.trainer import (
 
 
 def test_poly_lr_endpoints_and_midpoint():
+    assert POLY_POWER == 0.9
     assert poly_lr(2.5e-4, 0, 1000) == 2.5e-4
     # 2.5e-4 * (1 - 0.5)^0.9, evaluated independently
-    assert poly_lr(2.5e-4, 500, 1000, power=0.9) == \
+    assert poly_lr(2.5e-4, 500, 1000) == \
         pytest.approx(1.3397168281703665e-04, rel=1e-12)
     assert poly_lr(2.5e-4, 1000, 1000) == 0.0
     assert poly_lr(2.5e-4, 5000, 1000) == 0.0  # clamped past the horizon
-    assert poly_lr(0.1, 3, 10, power=1.0) == pytest.approx(0.07)
+    assert poly_lr(0.1, 3, 10) == pytest.approx(0.1 * 0.7 ** POLY_POWER)
     with pytest.raises(ConfigError):
         poly_lr(0.1, 0, 0)
 
@@ -39,11 +43,14 @@ def test_poly_lr_endpoints_and_midpoint():
 
 
 def test_sgd_two_steps_match_hand_value():
-    p = Param(np.array([1.0, 2.0], dtype=np.float32), name="w")
+    # decay-exempt, so only momentum acts
+    p = Param(np.array([1.0, 2.0], dtype=np.float32), name="b",
+              decay_exempt=True)
     g = np.array([0.5, -1.0], dtype=np.float32)
     for _ in range(2):
         p.grad = g
-        sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0)
+        sgd_step([p], lr=0.1)
+    assert MOMENTUM == 0.9
     # w2 = w0 - lr*g*(1 + (1 + momentum)) = w0 - lr*g*2.9
     assert_allclose(p.value, [1.0 - 0.1 * 0.5 * 2.9, 2.0 + 0.1 * 1.0 * 2.9],
                     rtol=1e-6)
@@ -55,9 +62,11 @@ def test_sgd_weight_decay_and_exemption():
                    decay_exempt=True)
     for p in (decayed, exempt):
         p.grad = np.zeros(1, dtype=np.float32)
-    sgd_step([decayed, exempt], lr=0.1, momentum=0.9, weight_decay=0.5)
-    assert_allclose(decayed.value, [2.0 - 0.1 * 0.5 * 2.0], rtol=1e-6)
-    assert_allclose(exempt.value, [2.0])
+    sgd_step([decayed, exempt], lr=0.1)
+    assert WEIGHT_DECAY == 5e-4
+    assert_allclose(decayed.value, [2.0 - 0.1 * WEIGHT_DECAY * 2.0],
+                    rtol=1e-6)
+    assert exempt.value[0] == 2.0
 
 
 def test_sgd_consumes_grads_and_skips_untouched_params():
@@ -74,11 +83,19 @@ def test_sgd_consumes_grads_and_skips_untouched_params():
 # augmentation
 
 
-def base_cfg(**kw):
-    defaults = dict(crop=32, scales=(1.0,), aspects=(1.0,), hflip_prob=0.0,
-                    max_iter=10)
-    defaults.update(kw)
-    return TrainConfig(**defaults)
+CROP32 = TrainConfig(crop=32, max_iter=10)
+
+
+@pytest.fixture
+def recipe(monkeypatch):
+    """Sets augment's scales, aspects and mirror probability; starts as
+    scale 1, aspect 1 and no mirroring."""
+    def pin(scales=(1.0,), aspects=(1.0,), hflip_prob=0.0):
+        monkeypatch.setattr(trainer, "SCALES", scales)
+        monkeypatch.setattr(trainer, "ASPECTS", aspects)
+        monkeypatch.setattr(trainer, "HFLIP_PROB", hflip_prob)
+    pin()
+    return pin
 
 
 def asym_sample(size=64):
@@ -89,39 +106,44 @@ def asym_sample(size=64):
 
 
 def test_augment_is_deterministic_per_seed():
-    s = asym_sample()
-    cfg = base_cfg(scales=(0.8, 1.0, 1.2), aspects=(0.9, 1.0), hflip_prob=0.5)
-    a_img, a_lab = augment(s, cfg, np.random.default_rng(7), fill=[0.5] * 3)
-    b_img, b_lab = augment(s, cfg, np.random.default_rng(7), fill=[0.5] * 3)
+    s = asym_sample()  # under the shipped recipe
+    a_img, a_lab = augment(s, CROP32, np.random.default_rng(7),
+                           fill=[0.5] * 3)
+    b_img, b_lab = augment(s, CROP32, np.random.default_rng(7),
+                           fill=[0.5] * 3)
     assert (a_img == b_img).all() and (a_lab == b_lab).all()
     assert a_img.shape == (3, 32, 32) and a_lab.shape == (32, 32)
 
 
-def test_augment_pads_small_scales_with_fill_and_ignore():
+def test_augment_pads_small_scales_with_fill_and_ignore(recipe):
     s = asym_sample(64)
-    cfg = base_cfg(scales=(0.25,))  # resize to 16, crop 32 forces padding
-    img, lab = augment(s, cfg, np.random.default_rng(0), fill=[0.1, 0.2, 0.3])
+    recipe(scales=(0.25,))  # resize to 16, crop 32 forces padding
+    img, lab = augment(s, CROP32, np.random.default_rng(0),
+                       fill=[0.1, 0.2, 0.3])
     assert img.shape == (3, 32, 32)
     assert (lab == 255).sum() == 32 * 32 - 16 * 16
     assert_allclose(img[:, 20, 20], [0.1, 0.2, 0.3], rtol=1e-6)
 
 
-def test_augment_mirror():
+def test_augment_mirror(recipe):
     s = asym_sample()
-    flipped_img, flipped_lab = augment(s, base_cfg(hflip_prob=1.0),
-                                       np.random.default_rng(3), fill=[0] * 3)
-    plain_img, plain_lab = augment(s, base_cfg(hflip_prob=0.0),
-                                   np.random.default_rng(3), fill=[0] * 3)
+    recipe(hflip_prob=1.0)
+    flipped_img, flipped_lab = augment(s, CROP32, np.random.default_rng(3),
+                                       fill=[0] * 3)
+    recipe(hflip_prob=0.0)
+    plain_img, plain_lab = augment(s, CROP32, np.random.default_rng(3),
+                                   fill=[0] * 3)
     assert (flipped_lab == plain_lab[:, ::-1]).all()
     assert_allclose(flipped_img, plain_img[:, :, ::-1])
 
 
-def test_augment_keeps_uint8_labels_and_pads_them_with_ignore():
+def test_augment_keeps_uint8_labels_and_pads_them_with_ignore(recipe):
     wide = asym_sample(64)
     narrow = Sample(wide.image, wide.labels.astype(np.uint8), "s")
-    cfg = base_cfg(scales=(0.25,), hflip_prob=1.0)  # pads, then mirrors
-    img, lab = augment(narrow, cfg, np.random.default_rng(0), fill=[0.5] * 3)
-    want_img, want_lab = augment(wide, cfg, np.random.default_rng(0),
+    recipe(scales=(0.25,), hflip_prob=1.0)  # pads, then mirrors
+    img, lab = augment(narrow, CROP32, np.random.default_rng(0),
+                       fill=[0.5] * 3)
+    want_img, want_lab = augment(wide, CROP32, np.random.default_rng(0),
                                  fill=[0.5] * 3)
     assert lab.dtype == np.uint8 and lab.flags.c_contiguous
     assert (lab == 255).sum() == 32 * 32 - 16 * 16
@@ -133,23 +155,12 @@ def test_train_config_validation():
         TrainConfig(crop=30).validate()
     with pytest.raises(ConfigError):
         TrainConfig(max_iter=0).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(scales=()).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(aspects=(0.0,)).validate()
     for lr in (float("nan"), float("inf"), 0.0, -1e-3):
         with pytest.raises(ConfigError, match="base_lr"):
             TrainConfig(base_lr=lr).validate()
     for crop in (0, -16):
         with pytest.raises(ConfigError, match="crop"):
             TrainConfig(crop=crop).validate()
-    for bad in (float("nan"), float("inf"), float("-inf")):
-        for field in ("scales", "aspects"):
-            with pytest.raises(ConfigError, match=field):
-                TrainConfig(**{field: (1.0, bad)}).validate()
-    for prob in (float("nan"), 2.0, -1.0):
-        with pytest.raises(ConfigError, match="hflip_prob"):
-            TrainConfig(hflip_prob=prob).validate()
     with pytest.raises(ConfigError, match="seed"):
         TrainConfig(seed=-1).validate()
 
@@ -212,6 +223,10 @@ def test_train_aborts_on_non_finite_loss():
     samples = synth_dataset(4, size=64, seed=11)
     with pytest.raises(DivergenceError, match="unit1.r4"):
         train(net, samples, TrainConfig(max_iter=2, batch_size=2, crop=32))
+
+
+def test_divergence_error_is_exported_beside_the_other_errors():
+    assert stackseg.DivergenceError is stackseg.errors.DivergenceError
 
 
 def test_train_rejects_bad_datasets():
