@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 
+from . import gradcheck
 from .analyzer import architecture_report, count_network_params, format_report
 from .data import IGNORE_INDEX, load_samples, read_pgm, save_dataset, \
     synth_dataset, write_pgm
 from .errors import ConfigError, DataError, DivergenceError, UsageError
-from .gradcheck import composite_check, primitive_sweep
 from .metrics import EvalAccumulator
 from .network import MS_SCALES, PROFILES, NetworkConfig, StackedNet, \
     config_from_state, predict_ms_flip
@@ -82,6 +83,10 @@ def cmd_train(args):
     tcfg = TrainConfig(base_lr=args.lr, batch_size=args.batch, crop=args.crop,
                        max_iter=args.iters, seed=args.seed,
                        log_every=args.log_every)
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    # creating a file takes write and search permission on its directory
+    if os.path.isdir(args.out) or not os.access(out_dir, os.W_OK | os.X_OK):
+        raise DataError(f"cannot write weights to {args.out}")
     sink = open(args.log, "w") if args.log else None
     try:
         log_fn = (lambda row: print(row, file=sink, flush=True)) if sink else print
@@ -162,22 +167,18 @@ def cmd_analyze(args):
 
 
 def cmd_gradcheck(args):
-    tol, failures = 1e-4, []
-    for name, err in primitive_sweep(args.seeds, args.step).items():
-        ok = err < tol
-        if not ok:
-            failures.append(name)
+    primitives = ((name, err, gradcheck.TOL)
+                  for name, err in gradcheck.primitive_sweep().items())
+    composites = ((f"composite[{seed}]", gradcheck.composite_check(seed),
+                   gradcheck.COMPOSITE_TOL)
+                  for seed in range(gradcheck.COMPOSITE_SEEDS))
+    passed = True
+    for name, err, tol in chain(primitives, composites):
+        passed &= err < tol
         print(f"{name}: max_rel_err={err:.3g} "
-              f"{'ok' if ok else f'FAIL (tol {tol:g})'}")
-    for seed in range(args.composite_seeds):
-        err = composite_check(seed)
-        ok = err < 1e-3
-        if not ok:
-            failures.append(f"composite[{seed}]")
-        print(f"composite[{seed}]: max_rel_err={err:.3g} "
-              f"{'ok' if ok else 'FAIL (tol 0.001)'}")
-    print(f"gradcheck {'passed' if not failures else 'FAILED'}")
-    return 0 if not failures else 1
+              f"{'ok' if err < tol else f'FAIL (tol {tol:g})'}")
+    print(f"gradcheck {'passed' if passed else 'FAILED'}")
+    return 0 if passed else 1
 
 
 def build_parser():
@@ -238,9 +239,6 @@ def build_parser():
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient sweeps")
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--composite-seeds", type=int, default=5)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -230,21 +230,19 @@ def pad_bottom_right(image, labels, out_h, out_w, fill):
     return out, padded
 
 
-def pad_to_multiple(image, labels, multiple, fill=None):
-    """Right/bottom-pad so both sides divide ``multiple``.
-
-    Image pixels are filled with ``fill`` (per-channel, default the
-    image's own mean); label pixels with the ignore index. Returns
-    (image, labels) with labels passed through as None when absent.
+def pad_to_multiple(image, multiple, fill=None):
+    """Right/bottom-pad a (3, h, w) image so both sides divide
+    ``multiple``, with ``fill`` per channel (default the image's own
+    mean). Returns ``image`` itself when it is already aligned.
     """
     image = np.asarray(image)
     h, w = image.shape[1:]
     if h % multiple == 0 and w % multiple == 0:
-        return image, labels
+        return image
     if fill is None:
         fill = image.mean(axis=(1, 2))
-    return pad_bottom_right(image, labels, h + (-h) % multiple,
-                            w + (-w) % multiple, fill)
+    return pad_bottom_right(image, None, h + (-h) % multiple,
+                            w + (-w) % multiple, fill)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -353,8 +353,7 @@ class StackedNet(Module):
         x = np.asarray(x)
         _check_batch(x.shape)
         h, w = x.shape[2:]
-        padded = np.stack([pad_to_multiple(im, None, SIZE_MULTIPLE)[0]
-                           for im in x])
+        padded = np.stack([pad_to_multiple(im, SIZE_MULTIPLE) for im in x])
         return np.argmax(self.predict_logits(padded), axis=1)[:, :h, :w]
 
 
@@ -435,7 +434,7 @@ def predict_ms_flip(net, image, scales=MS_SCALES, mirror=True,
         views = (scaled, scaled[:, :, ::-1]) if mirror else (scaled,)
         # one n=2 forward for both views: cheaper than two n=1 calls and
         # bitwise equal to them
-        batch = np.stack([pad_to_multiple(v, None, SIZE_MULTIPLE, fill)[0]
+        batch = np.stack([pad_to_multiple(v, SIZE_MULTIPLE, fill)
                           for v in views])
         logits = net.predict_logits(batch)
         for flipped, lg in enumerate(logits):

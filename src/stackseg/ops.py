@@ -100,6 +100,14 @@ def _col2im(cols, shape, kh, kw, s, d, oh, ow):
     return buf
 
 
+def _patch_gemm(x, w, s, ph, pw, d, oh, ow):
+    """Correlate (n, c, h, w) ``x`` with ``w``, padded by ``ph`` rows and
+    ``pw`` columns, as one GEMM over its patch matrix: (out, cols)."""
+    cols = _im2col(_pad(x, ph, pw), w.shape[2], w.shape[3], s, d, oh, ow)
+    out = np.matmul(w.reshape(len(w), -1), cols)
+    return out.reshape(len(x), len(w), oh, ow), cols
+
+
 # ---------------------------------------------------------------------------
 # convolution and friends
 
@@ -153,8 +161,7 @@ def _correlate(x, w, s, p, d):
         for t, o in enumerate(taps[1:], 1):
             acc += np.matmul(w_taps[t], xf[:, :, o:o + span], out=tmp)
         return acc.reshape(n, co, oh, wp)[:, :, :, :ow], None
-    cols = _im2col(_pad(x, p, p), kh, kw, s, d, oh, ow)
-    return np.matmul(w.reshape(co, -1), cols).reshape(n, co, oh, ow), cols
+    return _patch_gemm(x, w, s, p, p, d, oh, ow)
 
 
 def _correlate_gx(g, w, x_shape, s, p, d):
@@ -171,9 +178,8 @@ def _correlate_gx(g, w, x_shape, s, p, d):
     # kernels may be non-square.
     qh, qw = d * (kh - 1) - p, d * (kw - 1) - p
     if s == 1 and qh >= 0 and qw >= 0:
-        w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
-        gcols = _im2col(_pad(g, qh, qw), kh, kw, 1, d, h, iw)
-        return np.matmul(w_flip, gcols).reshape(x_shape)
+        w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return _patch_gemm(g, w_flip, 1, qh, qw, d, h, iw)[0]
     gcols = np.matmul(w.reshape(co, -1).T, g.reshape(n, co, oh * ow))
     buf = _col2im(gcols, (n, ci, h + 2 * p, iw + 2 * p), kh, kw, s, d, oh, ow)
     return _tap(buf, p, p, 1, h, iw)

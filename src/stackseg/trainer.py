@@ -159,9 +159,9 @@ def train(net, samples, cfg, log_fn=None):
     return history
 
 
-def evaluate(net, samples, num_classes):
+def evaluate(net, samples):
     """Score plain single-scale predictions against sample labels."""
-    acc = EvalAccumulator(num_classes)
+    acc = EvalAccumulator(net.config.num_classes)
     for s in samples:
         if s.labels is None:
             raise DataError(f"sample {s.name} has no labels to score against")

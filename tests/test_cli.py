@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import stackseg
-from stackseg import cli
+from stackseg import cli, gradcheck
 from stackseg.data import load_samples, read_pgm, write_pgm
 from stackseg.network import MS_SCALES, StackedNet, mini_config, \
     predict_ms_flip
@@ -50,6 +50,18 @@ def test_train_log_rows(workspace):
     first = rows[0].split("\t")
     assert first[0] == "0" and float(first[1]) > 0
     assert first[3].startswith("unit1.r4=")
+
+
+@pytest.mark.parametrize("out", ["missing/net.sdnw", "."])
+def test_train_checks_the_weights_path_before_training(out, workspace,
+                                                        tmp_path, capsys):
+    log = tmp_path / "train.log"
+    assert run(["train", "--data", str(workspace / "data" / "manifest.txt"),
+                "--out", str(tmp_path / out),
+                "--units", "1", "--supervision", "4", "--iters", "2",
+                "--batch", "2", "--crop", "32", "--log", str(log)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not log.exists() or log.read_text() == ""
 
 
 def test_infer_then_eval(workspace, capsys):
@@ -150,11 +162,23 @@ def test_analyze_rejects_an_invalid_config(flag, value, capsys):
     assert captured.err.startswith("error:")
 
 
-def test_gradcheck_command(capsys):
-    assert run(["gradcheck", "--seeds", "1", "--composite-seeds", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "gradcheck passed" in out
-    assert "conv2d" in out and "composite[0]" in out
+def test_gradcheck_command(monkeypatch, capsys):
+    monkeypatch.setattr(gradcheck, "SEEDS", 1)
+    monkeypatch.setattr(gradcheck, "COMPOSITE_SEEDS", 1)
+    assert run(["gradcheck"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [name for name, _, _ in
+             gradcheck.primitive_checks(np.random.default_rng(0))]
+    assert [line.split(":")[0] for line in lines[:-1]] == \
+        names + ["composite[0]"]
+    assert all(line.endswith(" ok") for line in lines[:-1])
+    assert lines[-1] == "gradcheck passed"
+
+
+def test_gradcheck_takes_no_options():
+    with pytest.raises(SystemExit) as exc:
+        run(["gradcheck", "--seeds", "1"])
+    assert exc.value.code == 2
 
 
 def test_domain_errors_exit_1(tmp_path, capsys):

@@ -197,33 +197,21 @@ def test_mean_pixel():
 
 def test_pad_to_multiple():
     image = np.random.default_rng(0).random((3, 30, 45)).astype(np.float32)
-    labels = np.ones((30, 45), dtype=np.int64)
-    out, lab = pad_to_multiple(image, labels, 16, fill=(0.1, 0.2, 0.3))
-    assert out.shape == (3, 32, 48) and lab.shape == (32, 48)
+    out = pad_to_multiple(image, 16, fill=(0.1, 0.2, 0.3))
+    assert out.shape == (3, 32, 48) and out.dtype == np.float32
     assert (out[:, :30, :45] == image).all()
     assert_allclose(out[:, 31, 0], [0.1, 0.2, 0.3], rtol=1e-6)
-    assert (lab[:30, :45] == 1).all() and (lab[30:] == 255).all()
-    assert (lab[:, 45:] == 255).all()
-
-
-def test_pad_to_multiple_keeps_uint8_labels():
-    labels = np.ones((30, 45), dtype=np.uint8)
-    _, lab = pad_to_multiple(np.zeros((3, 30, 45), np.float32), labels,
-                             16)
-    assert lab.dtype == np.uint8 and lab.shape == (32, 48)
-    assert (lab[:30, :45] == 1).all() and (lab[30:] == 255).all()
-    assert (lab[:, 45:] == 255).all()
+    assert_allclose(out[:, 0, 47], [0.1, 0.2, 0.3], rtol=1e-6)
 
 
 def test_pad_to_multiple_is_identity_when_aligned():
     image = np.zeros((3, 32, 32), dtype=np.float32)
-    out, lab = pad_to_multiple(image, None, 16)
-    assert out is image and lab is None
+    assert pad_to_multiple(image, 16) is image
 
 
 def test_pad_default_fill_is_image_mean():
     image = np.full((3, 15, 16), 0.25, dtype=np.float32)
-    out, _ = pad_to_multiple(image, None, 16)
+    out = pad_to_multiple(image, 16)
     assert_allclose(out[:, 15, :], 0.25, rtol=1e-6)
 
 

@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -239,6 +240,8 @@ def test_train_rejects_bad_datasets():
 
 
 class StubNet:
+    config = SimpleNamespace(num_classes=2)
+
     def predict(self, x):
         return np.zeros((x.shape[0], x.shape[2], x.shape[3]), dtype=np.int64)
 
@@ -247,9 +250,9 @@ def test_evaluate_scores_predictions_against_labels():
     labels = np.zeros((30, 30), dtype=np.int64)
     labels[:3] = 255  # ignored strip must not count against the stub
     sample = Sample(np.full((3, 30, 30), 0.5, dtype=np.float32), labels, "s")
-    acc = evaluate(StubNet(), [sample], num_classes=2)
+    acc = evaluate(StubNet(), [sample])
     assert acc.mean_iou() == 1.0
     assert acc.excluded_classes() == [1]
     assert acc.matrix[0, 0] == 27 * 30
     with pytest.raises(DataError):
-        evaluate(StubNet(), [Sample(sample.image, None, "x")], num_classes=2)
+        evaluate(StubNet(), [Sample(sample.image, None, "x")])
