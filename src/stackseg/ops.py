@@ -2,15 +2,19 @@
 
 Convolution is lowered to batched GEMMs by three array functions: the
 forward correlation, its input gradient and its weight gradient. Stride-1
-convs with a narrow output multiply each kernel tap's weights against a
-shifted slice of the padded input; strided, 1x1 and wide convs go
-through patch matrices (im2col). The transposed conv is the adjoint of
-the conv, so it lowers through the same three functions with input and
-output swapped: its forward is the correlation's input gradient, and its
-input gradient is the correlation. ``tests/reference.py`` keeps
-direct-loop versions of both ops as independent oracles. All ops follow
-the dtype of their inputs, so the same code runs in float32 for training
-and float64 for gradient checks.
+convs with a narrow output run as one GEMM call over a read-only tap
+view of the padded input, with one axis per kernel tap axis, summed over
+the taps; strided, 1x1 and wide convs go through patch matrices
+(im2col). The transposed conv is the adjoint of the conv, so its input
+gradient is the correlation and its weight gradient the correlation's
+weight gradient, with input and output swapped. Its forward is the
+correlation's input gradient: for a narrow output and a stride that
+divides the kernel, the s*s output phases are stride-1 correlations
+over one backward-stepping tap view, one GEMM call in all; otherwise a
+col2im scatter. ``tests/reference.py`` keeps direct-loop versions of
+both ops as independent oracles. All ops follow the dtype of their
+inputs, so the same code runs in float32 for training and float64 for
+gradient checks.
 
 A training node keeps no activation-sized array the graph does not
 already hold (its parents), unless recomputing it would cost more than
@@ -42,6 +46,14 @@ from .tensor import Tensor
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _check_rank4(op, **tensors):
+    """ConfigError naming the shape of any tensor that is not rank 4."""
+    for name, t in tensors.items():
+        if t.data.ndim != 4:
+            raise ConfigError(
+                f"{op}: {name} must be rank 4, got shape {t.shape}")
 
 
 def _conv_out_size(size, k, s, p, d):
@@ -111,7 +123,8 @@ def _patch_gemm(x, w, s, ph, pw, d, oh, ow):
 # ---------------------------------------------------------------------------
 # convolution and friends
 
-# Widest output for which a stride-1 k>1 conv takes the tap-slice route.
+# Widest output for which a stride-1 k>1 conv takes the tap-view route, and
+# a deconv whose stride divides its kernel the phase route.
 # Measured crossover (float32, 2 BLAS threads; forward and gw ms, im2col ->
 # slices; n=1 unless noted):
 #   ci->co   size  forward        gw
@@ -124,22 +137,64 @@ def _patch_gemm(x, w, s, ph, pw, d, oh, ow):
 #   1024->1024 20  48.0 -> 82.1   61.0 -> 78.2   (full entry)
 # Slices copy the weights per call (co*ci*k^2) where im2col copies the
 # input k^2 times (ci*k^2*h*w), and their per-tap GEMMs are co rows tall,
-# so wide outputs at small sizes lose.
+# so wide outputs at small sizes lose. The tap view copies no input, but
+# its k^2 products (n, k^2, co, oh*Wp) are all written out before the sum,
+# so at 384->192 80px it takes 15-20% longer than adding each tap's
+# product as it comes; that is the price of one GEMM call per conv.
+# The 4x4/2/1 deconv forward (ms, col2im -> phases, the same threshold):
+#   ci->co     size    forward
+#   32->32     4->8    0.21 -> 0.10   (n=4, mini up1)
+#   24->24     8->16   0.18 -> 0.09   (n=2, mini up2)
+#   192->192   40->80  19.2 -> 17.4
+#   384->384   20->40  15.2 -> 14.8
+#   768->768   40->80  196 -> 235     (full up2)
+#   1024->1024 20->40  99.8 -> 141    (full up1)
 _SLICE_MAX_CO = 192
 
 
-def _pad_flat(x, p):
-    """Zero-pad (n, c, h, w) by p rows above, p + 1 below and p columns
+def _pad_flat(x, ph, pw):
+    """Zero-pad (n, c, h, w) by ph rows above, ph + 1 below and pw columns
     each side; return it flattened to (n, c, Hp*Wp), and Wp.
 
-    The extra row lets the last tap's slice run past the bottom-right
-    corner by up to Wp - 1 elements without leaving the buffer.
+    The extra row lets a tap's window run past the bottom-right corner by
+    up to Wp - 1 elements without leaving the buffer.
     """
     n, c, h, w = x.shape
-    wp = w + 2 * p
-    xp = np.zeros((n, c, h + 2 * p + 1, wp), dtype=x.dtype)
-    _tap(xp, p, p, 1, h, w)[...] = x
+    wp = w + 2 * pw
+    xp = np.zeros((n, c, h + 2 * ph + 1, wp), dtype=x.dtype)
+    _tap(xp, ph, pw, 1, h, w)[...] = x
     return xp.reshape(n, c, -1), wp
+
+
+def _tap_view(xf, start, rows, cols, span):
+    """Read-only (n, kh, kw, c, span) view of ``xf`` from :func:`_pad_flat`
+    with one axis per kernel tap axis: for ``rows`` = (kh, row_step) and
+    ``cols`` = (kw, col_step), entry [b, t, u, ch, e] is ``xf[b, ch, start
+    + t*row_step + u*col_step + e]``. A negative step runs the taps
+    backwards.
+
+    Built over ``xf``'s buffer with the ndarray constructor, which is what
+    ``np.lib.stride_tricks.as_strided`` does, at a fifth of its ~5 us per
+    call: the mini profile builds ~250 of these per image.
+    """
+    (kh, sh), (kw, sw) = rows, cols
+    reach_h, reach_w = (kh - 1) * sh, (kw - 1) * sw
+    assert start + min(reach_h, 0) + min(reach_w, 0) >= 0
+    assert start + max(reach_h, 0) + max(reach_w, 0) + span <= xf.shape[2]
+    n, c = xf.shape[:2]
+    sn, sc, item = xf.strides
+    view = np.ndarray((n, kh, kw, c, span), xf.dtype, xf, start * item,
+                      (sn, sh * item, sw * item, sc, item))
+    view.flags.writeable = False
+    return view
+
+
+def _tap_sum(w_taps, view):
+    """``sum_t w_taps[t] @ view[:, t]`` over the tap axes: one batched GEMM
+    call and one reduction, (n, rows, span). numpy reduces a non-inner
+    axis one slice after another, so the taps add in row-major order."""
+    out = np.matmul(w_taps, view)
+    return out.reshape(len(out), -1, *out.shape[-2:]).sum(axis=1)
 
 
 def _correlate(x, w, s, p, d):
@@ -148,19 +203,14 @@ def _correlate(x, w, s, p, d):
     ``cols`` is the patch matrix the weight gradient reuses, or None when
     the output came from tap slices.
     """
-    n, ci, h, iw = x.shape
+    n, _, h, iw = x.shape
     co, _, kh, kw = w.shape
     oh, ow = _conv_out_size(h, kh, s, p, d), _conv_out_size(iw, kw, s, p, d)
     if s == 1 and kh * kw > 1 and co <= _SLICE_MAX_CO:
-        xf, wp = _pad_flat(x, p)
-        span = oh * wp
-        taps = [i * d * wp + j * d for i, j in product(range(kh), range(kw))]
-        w_taps = w.transpose(2, 3, 0, 1).reshape(kh * kw, co, ci)
-        acc = np.matmul(w_taps[0], xf[:, :, :span])
-        tmp = np.empty_like(acc)
-        for t, o in enumerate(taps[1:], 1):
-            acc += np.matmul(w_taps[t], xf[:, :, o:o + span], out=tmp)
-        return acc.reshape(n, co, oh, wp)[:, :, :, :ow], None
+        xf, wp = _pad_flat(x, p, p)
+        view = _tap_view(xf, 0, (kh, d * wp), (kw, d), oh * wp)
+        out = _tap_sum(np.ascontiguousarray(w.transpose(2, 3, 0, 1)), view)
+        return out.reshape(n, co, oh, wp)[:, :, :, :ow], None
     return _patch_gemm(x, w, s, p, p, d, oh, ow)
 
 
@@ -194,7 +244,7 @@ def _correlate_gw(g, x, cols, w_shape, s, p, d):
         return np.matmul(g.reshape(n, co, oh * ow), cols.transpose(0, 2, 1)) \
             .sum(axis=0).reshape(w_shape)
     ci, kh, kw = w_shape[1:]
-    xf, wp = _pad_flat(x, p)
+    xf, wp = _pad_flat(x, p, p)
     span = oh * wp
     g_ext = np.zeros((n, co, oh, wp), dtype=g.dtype)
     g_ext[:, :, :, :ow] = g
@@ -208,6 +258,37 @@ def _correlate_gw(g, x, cols, w_shape, s, p, d):
     return gw.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1)
 
 
+def _phase_correlate(x, w, s, p, oh, ow):
+    """Forward of :func:`deconv2d` for a stride that divides the kernel.
+
+    Output row ``Y = r + s*m`` of the uncropped map takes kernel rows
+    ``i = r + s*t`` from input row ``m - t``, and likewise for columns, so
+    each of the s*s phases (r, c) is a (kh/s)x(kw/s) stride-1 correlation
+    of the input padded by kh/s - 1 rows and kw/s - 1 columns. The tap
+    axes step backwards, which adds each output's taps in increasing
+    (i, j) order, as :func:`_col2im` does. All phases share the view, so
+    their weights stack into one (s*s*co)-row GEMM per tap; one strided
+    write interleaves the phases and the pad is cropped as a view.
+    """
+    n, ci, h, iw = x.shape
+    co, kh, kw = w.shape[1:]
+    th, tw = kh // s, kw // s
+    xf, wp = _pad_flat(x, th - 1, tw - 1)
+    mh, mw = h + th - 1, iw + tw - 1  # rows and columns of one phase
+    view = _tap_view(xf, (th - 1) * wp + tw - 1, (th, -wp), (tw, -1),
+                     mh * wp)
+    # w_taps[t, u, (r, c, o)] = w[:, o, r + s*t, c + s*u], each tap's
+    # matrix a transposed view as in the col2im GEMM: BLAS adds over ci in
+    # another order for a row-major one
+    w_taps = w.reshape(ci, co, th, s, tw, s).transpose(2, 4, 0, 3, 5, 1)
+    w_taps = np.ascontiguousarray(w_taps).reshape(th, tw, ci, -1)
+    phases = _tap_sum(w_taps.swapaxes(2, 3), view)
+    full = np.empty((n, co, mh, s, mw, s), dtype=phases.dtype)
+    full[...] = phases.reshape(n, s, s, co, mh, wp)[..., :mw] \
+        .transpose(0, 3, 4, 1, 5, 2)
+    return full.reshape(n, co, mh * s, mw * s)[:, :, p:p + oh, p:p + ow]
+
+
 def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
     """2-D cross-correlation with stride, zero padding, and dilation.
 
@@ -216,9 +297,12 @@ def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
     - **Tap slices** (stride 1, kernel larger than 1x1, ``co <=
       _SLICE_MAX_CO``). ``x`` is padded once and flattened to ``xf`` of
       shape (n, ci, Hp*Wp); tap (i, j) is then the contiguous slice
-      starting at ``i*d*Wp + j*d``, and ``out = sum_ij W[:, :, i, j] @
-      slice_ij`` at width Wp, of which the last ``Wp - ow`` columns are
-      dropped. The weight gradient is one GEMM of k^2 shifted, zero-
+      starting at ``i*d*Wp + j*d``. A read-only view holds every tap's
+      slice, (n, kh, kw, ci, oh*Wp), so one matmul of the (kh, kw, co,
+      ci) weight taps against it gives each tap's product, and a sum over
+      the tap axes, in row-major order, gives ``out = sum_ij W[:, :, i,
+      j] @ slice_ij`` at width Wp, of which the last ``Wp - ow`` columns
+      are dropped. The weight gradient is one GEMM of k^2 shifted, zero-
       extended copies of ``g`` against ``xf``, re-padded in backward, so
       nothing but the parents outlives the forward (the kn2row/MEC family:
       Vasudevan et al. 2017, arXiv 1704.04428; Cho & Brand 2017, arXiv
@@ -230,6 +314,7 @@ def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
     The crossover table sits beside ``_SLICE_MAX_CO``.
     """
     x, w = as_tensor(x), as_tensor(w)
+    _check_rank4("conv2d", input=x, weight=w)
     if stride < 1 or dilation < 1 or pad < 0:
         raise ConfigError(
             f"conv2d: invalid attrs stride={stride} pad={pad} dilation={dilation}"
@@ -276,8 +361,21 @@ def deconv2d(x, w, stride=2, pad=1):
     forward is the conv's input gradient, and its input and weight
     gradients are the conv's forward and weight gradient, with ``x`` in
     the role of the conv's output gradient.
+
+    Two forward routes give the same map, bitwise for the network's
+    float32 4x4/2/1 upsamplers:
+
+    - **Phases** (a stride that divides both kernel sides, ``co <=
+      _SLICE_MAX_CO``): the s*s output phases are stride-1 correlations
+      of ``x`` over one backward-stepping tap view, all in one matmul,
+      interleaved by one strided write (sub-pixel convolution: Shi et
+      al. 2016, arXiv 1609.07009). See :func:`_phase_correlate`.
+    - **Input gradient** (wide outputs and strides that do not divide the
+      kernel): :func:`_correlate_gx`, which for a stride above 1 is one
+      GEMM to a patch matrix scattered onto the padded output by col2im.
     """
     x, w = as_tensor(x), as_tensor(w)
+    _check_rank4("deconv2d", input=x, weight=w)
     if stride < 1 or pad < 0:
         raise ConfigError(f"deconv2d: invalid attrs stride={stride} pad={pad}")
     n, ci, h, iw = x.shape
@@ -295,7 +393,10 @@ def deconv2d(x, w, stride=2, pad=1):
             f"kernel {kh}x{kw}, stride {stride}, pad {pad}"
         )
 
-    out = _correlate_gx(x.data, w.data, (n, co, oh, ow), stride, pad, 1)
+    if kh % stride == kw % stride == 0 and co <= _SLICE_MAX_CO:
+        out = _phase_correlate(x.data, w.data, stride, pad, oh, ow)
+    else:
+        out = _correlate_gx(x.data, w.data, (n, co, oh, ow), stride, pad, 1)
 
     def backward_fn(g):
         gx, cols = _correlate(g, w.data, stride, pad, 1)
@@ -314,6 +415,7 @@ def maxpool2d(x, kernel=2, stride=None, pad=0):
     maxima, so the node keeps neither them nor an index array.
     """
     x = as_tensor(x)
+    _check_rank4("maxpool2d", input=x)
     s = kernel if stride is None else stride
     if s < 1 or not 0 <= pad < kernel:
         raise ConfigError(
@@ -437,6 +539,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training):
     the forward normalized with.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    _check_rank4("batch_norm", input=x)
     n, c, h, w = x.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ConfigError(

@@ -5,8 +5,10 @@ satisfy, so both input-gradient routes (correlation of ``g`` with the
 flipped kernel for stride 1, ``col2im`` for strided convs and pads wider
 than the dilated kernel) and both weight-gradient routes (tap slices for
 stride-1 convs with narrow output, im2col otherwise) are pinned to the
-same linear map. deconv2d runs the same routes with input and output
-swapped and is checked the same way. maxpool2d is checked against a
+same linear map. deconv2d's gradients run the same routes with input
+and output swapped, its forward the phase route (a stride that divides
+the kernel, narrow output) or the conv's input-gradient route, and it is
+checked the same way. maxpool2d is checked against a
 direct-loop oracle and softmax-CE against its closed form. Everything
 runs in float64.
 """
@@ -86,9 +88,12 @@ def deconv_cases(draw):
 @given(deconv_cases())
 @example((2, 3, 2, 4, 5, 4, 4, 2, 1, 0))      # the stack's 4x4/2/1 upsampler
 @example((2, 3, 4, 5, 6, 3, 3, 1, 1, 1))      # stride 1: tap-slice backward
-@example((1, 3, 2, 6, 6, 3, 3, 1, 3, 2))      # stride 1, pad > k-1: col2im
+@example((1, 3, 2, 6, 6, 3, 3, 1, 3, 2))      # stride 1, pad > k-1: cropped
 @example((1, WIDE, 2, 3, 3, 3, 3, 1, 1, 3))   # wide input: im2col backward
 @example((2, 2, 3, 4, 5, 3, 1, 1, 0, 4))      # 3x1 at stride 1
+@example((1, 2, 3, 3, 4, 2, 2, 2, 0, 5))      # 2x2/2/0: one tap per phase
+@example((1, 2, WIDE, 2, 2, 4, 4, 2, 1, 6))   # wide output: col2im forward
+@example((2, 3, 2, 4, 3, 3, 4, 2, 1, 7))      # 3x4/2/1: col2im
 @PROPERTY
 def test_deconv2d_gradients_are_adjoints(case):
     n, ci, co, h, w, kh, kw, s, p, seed = case

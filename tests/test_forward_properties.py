@@ -2,9 +2,10 @@
 
 Each op is compared with its direct-loop oracle in ``tests/reference.py``
 over random shapes and attributes, in float64. conv2d has two forward
-routes, chosen by stride, kernel size and output width; the explicit
-examples pin both sides of the output-width crossover, whose wide side
-is kept cheap by a tiny spatial size.
+routes, chosen by stride, kernel size and output width, and deconv2d two,
+chosen by whether the stride divides the kernel and by output width; the
+explicit examples pin both sides of each, the wide side kept cheap by a
+tiny spatial size.
 """
 import numpy as np
 import pytest
@@ -62,26 +63,32 @@ def test_conv2d_forward_matches_direct_loops(case):
 
 @st.composite
 def deconv_cases(draw):
-    k = draw(st.integers(1, 4))
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     s = draw(st.integers(1, 3))
-    p = draw(st.integers(0, k - 1))
-    # output (h-1)*s - 2p + k must be at least 1
-    least = 1 + max(0, -(-(2 * p - k + 1) // s))
-    h, w = least + draw(st.integers(0, 4)), least + draw(st.integers(0, 4))
+    p = draw(st.integers(0, max(kh, kw) - 1))
+
+    def least(k):  # smallest input whose output (h-1)*s - 2p + k is >= 1
+        return 1 + max(0, -(-(2 * p - k + 1) // s))
+    h = least(kh) + draw(st.integers(0, 4))
+    w = least(kw) + draw(st.integers(0, 4))
     n, ci, co = (draw(st.integers(1, 2)), draw(st.integers(1, 4)),
                  draw(st.integers(1, 4)))
-    return n, ci, co, h, w, k, s, p, draw(st.integers(0, 2**32 - 1))
+    return n, ci, co, h, w, kh, kw, s, p, draw(st.integers(0, 2**32 - 1))
 
 
 @given(deconv_cases())
-@example((2, 3, 2, 4, 5, 4, 2, 1, 0))  # the stack's 4x4/2 upsampler
-@example((1, 2, 3, 3, 3, 3, 3, 2, 1))  # pad crops most of the kernel
+@example((2, 3, 2, 4, 5, 4, 4, 2, 1, 0))     # the stack's 4x4/2/1: phases
+@example((1, 2, 3, 3, 4, 2, 2, 2, 0, 1))     # 2x2/2/0: one tap per phase
+@example((1, 2, 2, 3, 4, 4, 2, 2, 1, 2))     # 4x2/2/1: 2x1 taps per phase
+@example((1, 2, 3, 3, 3, 3, 3, 3, 2, 3))     # pad crops most of the kernel
+@example((1, 2, WIDE, 2, 2, 4, 4, 2, 1, 4))  # wide: col2im
+@example((2, 3, 2, 4, 3, 3, 4, 2, 1, 5))     # 3x4/2/1: col2im
 @PROPERTY
 def test_deconv2d_forward_matches_direct_loops(case):
-    n, ci, co, h, w, k, s, p, seed = case
+    n, ci, co, h, w, kh, kw, s, p, seed = case
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, ci, h, w))
-    wt = rng.standard_normal((ci, co, k, k))
+    wt = rng.standard_normal((ci, co, kh, kw))
     got = deconv2d(Tensor(x), Tensor(wt), stride=s, pad=p)
     want = reference.deconv2d_forward(x, wt, stride=s, pad=p)
     assert got.shape == want.shape

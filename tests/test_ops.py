@@ -1,4 +1,5 @@
 import types
+from itertools import product
 
 import numpy as np
 import pytest
@@ -102,6 +103,10 @@ def test_conv2d_rejects_bad_shapes():
         conv2d(x, Tensor(np.zeros((4, 3, 3, 3))), stride=0)
     with pytest.raises(ConfigError):
         conv2d(x, Tensor(np.zeros((4, 3, 3, 3))), b=Tensor(np.zeros(5)))
+    with pytest.raises(ConfigError, match=r"input .*\(3, 8, 8\)"):
+        conv2d(Tensor(np.zeros((3, 8, 8))), Tensor(np.zeros((4, 3, 3, 3))))
+    with pytest.raises(ConfigError, match=r"weight .*\(4, 3, 3\)"):
+        conv2d(x, Tensor(np.zeros((4, 3, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +160,11 @@ def test_deconv2d_rejects_bad_shapes():
         with pytest.raises(ConfigError):
             deconv2d(Tensor(np.zeros((1, 2, 3, 3))),
                      Tensor(np.zeros((2, 2, 4, 4))), **attrs)
+    with pytest.raises(ConfigError, match=r"input .*\(1, 1, 2, 3, 3\)"):
+        deconv2d(Tensor(np.zeros((1, 1, 2, 3, 3))),
+                 Tensor(np.zeros((2, 2, 4, 4))))
+    with pytest.raises(ConfigError, match=r"weight .*\(2, 2, 4\)"):
+        deconv2d(Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros((2, 2, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +205,8 @@ def test_maxpool2d_rejects_bad_config():
     for attrs in ({"stride": 0}, {"pad": -1}):
         with pytest.raises(ConfigError):
             maxpool2d(x, kernel=2, **attrs)
+    with pytest.raises(ConfigError, match=r"input .*\(4, 4\)"):
+        maxpool2d(Tensor(np.zeros((4, 4))), kernel=2)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +325,13 @@ def test_batch_norm_rejects_mismatched_affine():
     with pytest.raises(ConfigError):
         batch_norm(Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.ones(2)),
                    Tensor(np.zeros(3)), np.zeros(3), np.ones(3), training=True)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_rejects_bad_shapes(training):
+    with pytest.raises(ConfigError, match=r"input .*\(1, 3, 4\)"):
+        batch_norm(Tensor(np.zeros((1, 3, 4))), Tensor(np.ones(3)),
+                   Tensor(np.zeros(3)), np.zeros(3), np.ones(3), training)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +623,56 @@ def test_softmax_ce_is_bitwise_the_along_axis_formula(label_dtype, c, ignored):
     # logits in another memory order index the same entries
     (gf,) = softmax_ce_loss(Tensor(np.asfortranarray(z)), labels).backward_fn(g)
     np.testing.assert_array_equal(bits(gf), bits(want_gz))
+
+
+def zero_planted(shape, rng):
+    """float32 normals with rows of 0.0 and -0.0 planted in channel 0."""
+    a = rng.standard_normal(shape).astype(np.float32)
+    a[:, 0, 0] = 0.0
+    a[:, 0, -1] = -0.0
+    return a
+
+
+# float32 at the network's shapes (n, ci, co, size); a GEMM of one output
+# row runs as a matrix-vector product and may round differently, and the
+# network never runs one, so co = 1 is left out
+@pytest.mark.parametrize("n,ci,co,size,pad,dilation", [
+    (1, 16, 8, 24, 1, 1), (4, 40, 8, 16, 1, 1), (2, 88, 32, 8, 1, 1),
+    (4, 24, 3, 4, 1, 1), (2, 64, 16, 12, 2, 2), (4, 48, 24, 6, 2, 2),
+])
+def test_conv2d_tap_slices_are_bitwise_the_per_tap_loop(n, ci, co, size, pad,
+                                                        dilation):
+    rng = np.random.default_rng(ci * co + size)
+    x = zero_planted((n, ci, size, size + 1), rng)
+    w = zero_planted((co, ci, 3, 3), rng)
+    out = conv2d(Tensor(x), Tensor(w), pad=pad, dilation=dilation).data
+    # the kept formula: one GEMM per tap, added in row-major tap order
+    xf = np.pad(x, ((0, 0), (0, 0), (pad, pad + 1), (pad, pad)))
+    wp = xf.shape[3]
+    xf = xf.reshape(n, ci, -1)
+    oh, ow = out.shape[2:]
+    span = oh * wp
+    w_taps = w.transpose(2, 3, 0, 1).reshape(9, co, ci)
+    taps = [(i * wp + j) * dilation for i, j in product(range(3), range(3))]
+    want = np.matmul(w_taps[0], xf[:, :, :span])
+    for t, o in enumerate(taps[1:], 1):
+        want += np.matmul(w_taps[t], xf[:, :, o:o + span])
+    want = want.reshape(n, co, oh, wp)[:, :, :, :ow]
+    np.testing.assert_array_equal(bits(out), bits(want))
+
+
+@pytest.mark.parametrize("n,ci,co,size,k,p", [
+    (1, 32, 32, 4, 4, 1), (2, 24, 24, 8, 4, 1), (4, 88, 16, 6, 4, 1),
+    (4, 16, 3, 24, 4, 1), (2, 64, 8, 12, 4, 1), (3, 40, 32, 5, 2, 0),
+])
+def test_deconv2d_phases_are_bitwise_the_col2im_scatter(n, ci, co, size, k,
+                                                        p):
+    rng = np.random.default_rng(ci * co + size)
+    x = zero_planted((n, ci, size, size + 2), rng)
+    w = zero_planted((ci, co, k, k), rng)
+    out = deconv2d(Tensor(x), Tensor(w), stride=2, pad=p).data
+    want = ops._correlate_gx(x, w, out.shape, 2, p, 1)
+    np.testing.assert_array_equal(bits(out), bits(want))
 
 
 def test_maxpool2d_routes_to_the_first_max_of_tied_overlapping_windows():
