@@ -167,7 +167,8 @@ def primitive_checks(rng):
     z = rng.standard_normal((2, 4, 3, 3))
     labels = rng.integers(0, 4, size=(2, 3, 3))
     labels[0, 0, 0] = 255
-    checks.append(("softmax_ce", lambda zt: ops.softmax_ce_loss(zt, labels),
+    targets = ops.ce_targets(labels, 4)
+    checks.append(("softmax_ce", lambda zt: ops.softmax_ce_loss(zt, targets),
                    [z]))
     return checks
 
@@ -195,6 +196,7 @@ def composite_check(seed):
     skip = rng.standard_normal((2, 3, 8, 8))
     labels = rng.integers(0, 3, size=(2, 16, 16))
     labels[0, :2] = 255
+    targets = ops.ce_targets(labels, 3)
 
     def build(xt, w1t, gt, bt, wdt, st):
         h = ops.conv2d(xt, w1t, pad=1)
@@ -204,6 +206,6 @@ def composite_check(seed):
         h = ops.deconv2d(h, wdt, stride=2, pad=1)
         h = ops.eltwise_add(h, st)
         h = ops.bilinear_resize(h, 16, 16)
-        return ops.softmax_ce_loss(h, labels)
+        return ops.softmax_ce_loss(h, targets)
 
     return max_rel_error(build, [x, w1, gamma, beta, wd, skip], COMPOSITE_STEP)

@@ -26,8 +26,8 @@ from .data import IGNORE_INDEX, pad_to_multiple
 from .errors import ConfigError, DataError, UsageError
 from .layers import BnActConv, BnRelu, ConvLayer, DenseBlock, \
     Module, TransitionDown, UpsampleLayer
-from .ops import bilinear_resize, concat_channels, eltwise_add, maxpool2d, \
-    resize_bilinear_array, softmax_ce_loss, softmax_probs
+from .ops import bilinear_resize, ce_targets, concat_channels, eltwise_add, \
+    maxpool2d, resize_bilinear_array, softmax_ce_loss, softmax_probs
 from .tensor import Tensor, no_grad
 
 SIZE_MULTIPLE = 16  # inputs must divide evenly down to the deepest scale
@@ -323,14 +323,12 @@ class StackedNet(Module):
     def losses(self, maps, labels, ignore_index=IGNORE_INDEX):
         """(name, loss, weight) per head, upsampled to the label size; the
         heads add at equal weight, so every weight is 1.0."""
-        labels = np.asarray(labels)
-        if labels.ndim != 3:
-            raise DataError(f"labels must be (n, h, w), got {labels.shape}")
-        h, w = labels.shape[1:]
+        targets = ce_targets(labels, self.config.num_classes, ignore_index)
+        h, w = targets.valid.shape[1:]
         out = []
         for i, r in sorted(maps, key=lambda k: (k[0], -k[1])):
             up = bilinear_resize(maps[(i, r)], h, w)
-            loss = softmax_ce_loss(up, labels, ignore_index)
+            loss = softmax_ce_loss(up, targets)
             out.append((f"unit{i + 1}.r{r}", loss, 1.0))
         return out
 

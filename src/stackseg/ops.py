@@ -4,26 +4,31 @@ Convolution is lowered to batched GEMMs by three array functions: the
 forward correlation, its input gradient and its weight gradient. Stride-1
 convs with a narrow output run as one GEMM call over a read-only tap
 view of the padded input, with one axis per kernel tap axis, summed over
-the taps; strided, 1x1 and wide convs go through patch matrices
-(im2col). The transposed conv is the adjoint of the conv, so its input
-gradient is the correlation and its weight gradient the correlation's
-weight gradient, with input and output swapped. Its forward is the
-correlation's input gradient: for a narrow output and a stride that
-divides the kernel, the s*s output phases are stride-1 correlations
-over one backward-stepping tap view, one GEMM call in all; otherwise a
-col2im scatter. ``tests/reference.py`` keeps direct-loop versions of
-both ops as independent oracles. All ops follow the dtype of their
-inputs, so the same code runs in float32 for training and float64 for
-gradient checks.
+the taps, and their weight gradient is one GEMM call against the same
+view; strided, 1x1 and wide convs go through patch matrices (im2col).
+Every stride-1 conv with a kernel larger than 1x1 and a pad no wider than
+the dilated kernel copies its input gradient's patch matrix from the tap
+view of the padded output gradient. The transposed conv is the adjoint
+of the conv, so its input gradient is the correlation and its weight
+gradient the correlation's weight gradient, with input and output
+swapped. Its forward is the correlation's input gradient: for a narrow
+output and a stride that divides the kernel, the s*s output phases are
+stride-1 correlations over one backward-stepping tap view, one GEMM
+call in all; otherwise a col2im scatter. ``tests/reference.py`` keeps
+direct-loop versions of both ops as independent oracles. All ops follow
+the dtype of their inputs, so the same code runs in float32 for training
+and float64 for gradient checks.
 
 A training node keeps no activation-sized array the graph does not
 already hold (its parents), unless recomputing it would cost more than
 keeping it: batch norm recomputes ``xhat`` from its per-channel
-statistics, ReLU its mask, max pooling its window maxima and
-cross-entropy its log-probabilities, each from the parents and with the
-forward's own expressions, so gradients are bitwise those of kept
-copies. Still kept: the patch matrix of a strided, 1x1 or wide conv (or
-of the transposed conv's gradient) and dropout's bool mask.
+statistics, ReLU its mask and max pooling its window maxima, each from
+the parents and with the forward's own expressions, so gradients are
+bitwise those of kept copies. Still kept: the patch matrix of a strided,
+1x1 or wide conv (or of the transposed conv's gradient), dropout's bool
+mask, and cross-entropy's log-probabilities, which cost less to keep
+than to recompute for every loss head; the heads of one batch share one
+label preparation (:func:`ce_targets`).
 
 Layout conventions:
   activations  (n, c, h, w)
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import functools
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,21 +132,25 @@ def _patch_gemm(x, w, s, ph, pw, d, oh, ow):
 # Widest output for which a stride-1 k>1 conv takes the tap-view route, and
 # a deconv whose stride divides its kernel the phase route.
 # Measured crossover (float32, 2 BLAS threads; forward and gw ms, im2col ->
-# slices; n=1 unless noted):
+# tap view; n=1 unless noted; gw is the fastest of 4 runs of 7-9 calls,
+# the kept patch matrix's GEMM against the batched per-tap GEMM):
 #   ci->co   size  forward        gw
-#   40->8    16    0.70 -> 0.27   0.32 -> 0.27   (n=4, mini growth conv)
-#   192->48  80    25.3 -> 10.4   10.5 -> 9.2    (full growth conv)
-#   512->128 40    21.0 -> 16.3   14.5 -> 14.8
-#   384->192 80    96.2 -> 62.5   57.2 -> 68.2   (full skip4)
-#   1536->192 20   25.1 -> 24.4   20.7 -> 22.1
-#   2048->256 20   31.1 -> 39.6   29.7 -> 28.5
-#   1024->1024 20  48.0 -> 82.1   61.0 -> 78.2   (full entry)
+#   40->8    16    0.70 -> 0.27   0.22 -> 0.19   (n=4, mini growth conv)
+#   192->48  80    25.3 -> 10.4   8.2 -> 10.4    (full growth conv)
+#   512->128 40    21.0 -> 16.3   9.8 -> 11.4
+#   384->192 80    96.2 -> 62.5   40.1 -> 45.4   (full skip4)
+#   1536->192 20   25.1 -> 24.4   15.5 -> 17.3
+#   2048->256 20   31.1 -> 39.6   21.8 -> 24.2
+#   1024->1024 20  48.0 -> 82.1   43.4 -> 48.2   (full entry)
 # Slices copy the weights per call (co*ci*k^2) where im2col copies the
 # input k^2 times (ci*k^2*h*w), and their per-tap GEMMs are co rows tall,
-# so wide outputs at small sizes lose. The tap view copies no input, but
-# its k^2 products (n, k^2, co, oh*Wp) are all written out before the sum,
-# so at 384->192 80px it takes 15-20% longer than adding each tap's
-# product as it comes; that is the price of one GEMM call per conv.
+# so wide outputs at small sizes lose; the same holds for the gw's per-tap
+# GEMMs, which the forward's gain outweighs on the rows above 1536->192
+# (where forward plus gw comes out ~1 ms slower than im2col). The
+# tap view copies no input, but its k^2 products (n, k^2, co, oh*Wp) are
+# all written out before the sum, so at 384->192 80px it takes 15-20%
+# longer than adding each tap's product as it comes; that is the price of
+# one GEMM call per conv.
 # The 4x4/2/1 deconv forward (ms, col2im -> phases, the same threshold):
 #   ci->co     size    forward
 #   32->32     4->8    0.21 -> 0.10   (n=4, mini up1)
@@ -216,20 +226,33 @@ def _correlate(x, w, s, p, d):
 
 def _correlate_gx(g, w, x_shape, s, p, d):
     """Input gradient of :func:`_correlate`: ``g`` (n, co, oh, ow) mapped
-    back to an array of ``x_shape``."""
+    back to an array of ``x_shape``.
+
+    With stride 1 it is a correlation of ``g``, padded by q = d*(k-1) - p
+    per axis (kernels may be non-square), with the flipped kernel (Dumoulin
+    & Visin 2016): a GEMM over co*k*k patch rows instead of a col2im over
+    ci*k*k, and dense growth layers have co << ci. For a kernel larger
+    than 1x1 the patch matrix is copied from the tap view of the padded
+    ``g``, so each (co, tap) row is one contiguous run of h*Wp values; the
+    K order (co, i, j) is that of im2col, and the last Wp - w columns of
+    the product are dropped. A 1x1 kernel's patch matrix is ``g`` itself.
+    A negative q would crop, so that case and strided convs scatter
+    through col2im.
+    """
     n, co, oh, ow = g.shape
     ci, kh, kw = w.shape[1:]
     h, iw = x_shape[2:]
-    # With stride 1 the input gradient is a correlation of g, padded by
-    # d*(k-1) - p, with the flipped kernel (Dumoulin & Visin 2016): im2col
-    # over co*k*k rows instead of col2im over ci*k*k, and dense growth
-    # layers have co << ci. A negative pad would crop, so that case and
-    # strided convs scatter through col2im. The pad is per axis, as
-    # kernels may be non-square.
     qh, qw = d * (kh - 1) - p, d * (kw - 1) - p
     if s == 1 and qh >= 0 and qw >= 0:
         w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return _patch_gemm(g, w_flip, 1, qh, qw, d, h, iw)[0]
+        if kh * kw == 1:
+            return _patch_gemm(g, w_flip, 1, 0, 0, 1, h, iw)[0]
+        gf, wp = _pad_flat(g, qh, qw)
+        cols = np.empty((n, co, kh, kw, h * wp), dtype=g.dtype)
+        cols[...] = _tap_view(gf, 0, (kh, d * wp), (kw, d), h * wp) \
+            .transpose(0, 3, 1, 2, 4)
+        out = np.matmul(w_flip.reshape(ci, -1), cols.reshape(n, -1, h * wp))
+        return out.reshape(n, ci, h, wp)[:, :, :, :iw]
     gcols = np.matmul(w.reshape(co, -1).T, g.reshape(n, co, oh * ow))
     buf = _col2im(gcols, (n, ci, h + 2 * p, iw + 2 * p), kh, kw, s, d, oh, ow)
     return _tap(buf, p, p, 1, h, iw)
@@ -237,25 +260,27 @@ def _correlate_gx(g, w, x_shape, s, p, d):
 
 def _correlate_gw(g, x, cols, w_shape, s, p, d):
     """Weight gradient of :func:`_correlate`: one GEMM against the kept
-    patch matrix ``cols`` or, after tap slices (``cols`` None), the
-    stacked tap GEMM that :func:`conv2d` describes."""
+    patch matrix ``cols`` or, after tap slices (``cols`` None), one
+    batched GEMM against the forward's tap view.
+
+    The tap route zero-extends ``g`` to the padded width Wp once, so its
+    (co, oh*Wp) rows line up with every tap's slice of the re-padded
+    input; tap (i, j)'s gradient is that row block times the slice
+    transposed, summed over the batch. The zero columns cancel the
+    slices' wrap-around, and no copy of ``g`` per tap is made.
+    """
     n, co, oh, ow = g.shape
     if cols is not None:
         return np.matmul(g.reshape(n, co, oh * ow), cols.transpose(0, 2, 1)) \
             .sum(axis=0).reshape(w_shape)
-    ci, kh, kw = w_shape[1:]
+    kh, kw = w_shape[2:]
     xf, wp = _pad_flat(x, p, p)
     span = oh * wp
     g_ext = np.zeros((n, co, oh, wp), dtype=g.dtype)
     g_ext[:, :, :, :ow] = g
-    g_ext = g_ext.reshape(n, co, span)
-    g_taps = np.zeros((n, kh * kw, co, xf.shape[2]), dtype=g.dtype)
-    for t, (i, j) in enumerate(product(range(kh), range(kw))):
-        o = i * d * wp + j * d
-        g_taps[:, t, :, o:o + span] = g_ext
-    gw = np.matmul(g_taps.reshape(n, -1, xf.shape[2]),
-                   xf.transpose(0, 2, 1)).sum(axis=0)
-    return gw.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1)
+    view = _tap_view(xf, 0, (kh, d * wp), (kw, d), span)
+    gw = np.matmul(g_ext.reshape(n, 1, 1, co, span), view.swapaxes(-1, -2))
+    return gw.sum(axis=0).transpose(2, 3, 0, 1)
 
 
 def _phase_correlate(x, w, s, p, oh, ow):
@@ -302,16 +327,21 @@ def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
       ci) weight taps against it gives each tap's product, and a sum over
       the tap axes, in row-major order, gives ``out = sum_ij W[:, :, i,
       j] @ slice_ij`` at width Wp, of which the last ``Wp - ow`` columns
-      are dropped. The weight gradient is one GEMM of k^2 shifted, zero-
-      extended copies of ``g`` against ``xf``, re-padded in backward, so
-      nothing but the parents outlives the forward (the kn2row/MEC family:
-      Vasudevan et al. 2017, arXiv 1704.04428; Cho & Brand 2017, arXiv
-      1706.06873).
+      are dropped. Backward re-pads ``x`` and reads the same view: the
+      weight gradient is one matmul of ``g``, zero-extended to width Wp,
+      against each tap's slice, so nothing but the parents outlives the
+      forward (the kn2row/MEC family: Vasudevan et al. 2017, arXiv
+      1704.04428; Cho & Brand 2017, arXiv 1706.06873).
     - **im2col** (everything else: strided, 1x1 and wide convs). A patch
       matrix of k^2 shifted views, kept for the weight gradient; for an
       unpadded stride-1 1x1 kernel it is a view of ``x``.
 
-    The crossover table sits beside ``_SLICE_MAX_CO``.
+    The input gradient does not depend on the forward's route: for
+    stride 1 and a pad of at most d*(k-1) it correlates ``g`` with the
+    flipped kernel, its patch matrix copied from the tap view of the
+    padded ``g``; otherwise it scatters through col2im (see
+    :func:`_correlate_gx`). The crossover table sits beside
+    ``_SLICE_MAX_CO``.
     """
     x, w = as_tensor(x), as_tensor(w)
     _check_rank4("conv2d", input=x, weight=w)
@@ -687,61 +717,75 @@ def softmax_probs(z):
     return np.exp(log_softmax(z))
 
 
-def _label_index(labels, keep, c):
-    """Flat index into a C-ordered (n, c, h, w) array of each pixel's label
-    entry, class 0 where ``keep`` is False."""
+class CETargets(NamedTuple):
+    """Label map prepared once for every :func:`softmax_ce_loss` head that
+    scores it: the valid (non-ignored) pixels, their count, and each
+    pixel's flat index into a C-ordered (n, num_classes, h, w) array,
+    class 0 where the pixel is ignored."""
+    valid: np.ndarray
+    count: int
+    index: np.ndarray
+    num_classes: int
+
+
+def ce_targets(labels, num_classes, ignore_index=IGNORE_INDEX):
+    """Check an integer (n, h, w) label map against ``num_classes`` and
+    prepare it for :func:`softmax_ce_loss`; a ``DataError`` names any bad
+    shape, dtype or value."""
+    labels = np.asarray(labels)
+    if labels.ndim != 3:
+        raise DataError(f"ce_targets: labels must be (n, h, w), got shape "
+                        f"{labels.shape}")
+    if not np.can_cast(labels.dtype, np.intp, "same_kind"):
+        raise DataError(
+            f"ce_targets: labels must be integers, not {labels.dtype}")
+    valid = labels != ignore_index
+    bad = valid & ((labels < 0) | (labels >= num_classes))
+    if bad.any():
+        raise DataError(
+            f"ce_targets: label values {sorted(np.unique(labels[bad]))} "
+            f"outside [0, {num_classes}) and != ignore_index {ignore_index}"
+        )
     n, h, w = labels.shape
     hw = h * w
     # widened before the multiply, as uint8 labels would wrap
-    index = np.where(keep, labels, 0).astype(np.intp, casting="same_kind")
+    index = np.where(valid, labels, 0).astype(np.intp, casting="same_kind")
     index *= hw
-    index += np.arange(0, n * c * hw, c * hw, dtype=np.intp)[:, None, None]
+    index += np.arange(0, n * num_classes * hw, num_classes * hw,
+                       dtype=np.intp)[:, None, None]
     index += np.arange(hw, dtype=np.intp).reshape(h, w)
-    return index
+    return CETargets(valid, int(valid.sum()), index, num_classes)
 
 
-def softmax_ce_loss(logits, labels, ignore_index=IGNORE_INDEX):
-    """Mean pixel-wise cross-entropy over non-ignored pixels.
+def softmax_ce_loss(logits, targets):
+    """Mean pixel-wise cross-entropy over the non-ignored pixels of
+    ``targets``, from :func:`ce_targets`.
 
     Returns a scalar tensor; with every pixel ignored the loss is 0 with
-    zero gradient.
+    zero gradient. The node keeps the log-probabilities of its forward,
+    and backward starts from their exponential.
     """
     logits = as_tensor(logits)
-    labels = np.asarray(labels)
     n, c, h, w = logits.shape
-    if labels.shape != (n, h, w):
+    if targets.valid.shape != (n, h, w) or targets.num_classes != c:
         raise DataError(
-            f"softmax_ce_loss: labels shape {labels.shape} != {(n, h, w)}"
-        )
-    if not np.can_cast(labels.dtype, np.intp, "same_kind"):
-        raise DataError(
-            f"softmax_ce_loss: labels must be integers, not {labels.dtype}")
-    valid = labels != ignore_index
-    bad = valid & ((labels < 0) | (labels >= c))
-    if bad.any():
-        raise DataError(
-            f"softmax_ce_loss: label values {sorted(np.unique(labels[bad]))} "
-            f"outside [0, {c}) and != ignore_index {ignore_index}"
-        )
-    count = int(valid.sum())
+            f"softmax_ce_loss: targets for {targets.num_classes} classes at "
+            f"{targets.valid.shape} do not match logits {logits.shape}")
     dtype = logits.data.dtype
-    if count == 0:
+    if targets.count == 0:
         def backward_zero(g):
             return (np.zeros_like(logits.data),)
         return Tensor(np.asarray(0.0, dtype=dtype), (logits,), backward_zero,
                       op="softmax_ce")
 
     logp = log_softmax(logits.data)
-    picked = logp.reshape(-1)[_label_index(labels, valid, c)]
-    loss = -(picked * valid).sum() / count
+    picked = logp.reshape(-1)[targets.index]
+    loss = -(picked * targets.valid).sum() / targets.count
 
     def backward_fn(g):
-        # recomputed rather than kept: the closure holds only the caller's
-        # labels, no array of its own
-        keep = labels != ignore_index
-        grad = np.ascontiguousarray(np.exp(log_softmax(logits.data)))
-        grad.reshape(-1)[_label_index(labels, keep, c)] -= 1.0
-        grad *= keep[:, None].astype(dtype) / count
+        grad = np.ascontiguousarray(np.exp(logp))
+        grad.reshape(-1)[targets.index] -= 1.0
+        grad *= targets.valid[:, None].astype(dtype) / targets.count
         grad *= g
         return (grad,)
 

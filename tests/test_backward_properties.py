@@ -1,14 +1,16 @@
 """Property tests of the hand-written backward passes over random shapes.
 
 conv2d is checked through the adjoint identities its two gradients must
-satisfy, so both input-gradient routes (correlation of ``g`` with the
-flipped kernel for stride 1, ``col2im`` for strided convs and pads wider
-than the dilated kernel) and both weight-gradient routes (tap slices for
-stride-1 convs with narrow output, im2col otherwise) are pinned to the
-same linear map. deconv2d's gradients run the same routes with input
-and output swapped, its forward the phase route (a stride that divides
-the kernel, narrow output) or the conv's input-gradient route, and it is
-checked the same way. maxpool2d is checked against a
+satisfy, so every input-gradient route (for stride 1, a correlation of
+``g`` with the flipped kernel over the patch matrix copied from the tap
+view of the padded ``g``, or over ``g`` itself for a 1x1 kernel;
+``col2im`` for strided convs and pads wider than the dilated kernel) and
+both weight-gradient routes (one GEMM against the tap view of the padded
+input for stride-1 convs with narrow output, im2col otherwise) are
+pinned to the same linear map. deconv2d's gradients run the same routes
+with input and output swapped, its forward the phase route (a stride
+that divides the kernel, narrow output) or the conv's input-gradient
+route, and it is checked the same way. maxpool2d is checked against a
 direct-loop oracle and softmax-CE against its closed form. Everything
 runs in float64.
 """
@@ -18,7 +20,8 @@ from numpy.testing import assert_allclose
 
 import reference
 from stackseg import ops
-from stackseg.ops import conv2d, deconv2d, maxpool2d, softmax_ce_loss
+from stackseg.ops import ce_targets, conv2d, deconv2d, maxpool2d, \
+    softmax_ce_loss
 from stackseg.tensor import Tensor
 
 pytest.importorskip("hypothesis")
@@ -54,6 +57,10 @@ def conv_cases(draw):
 @example((1, 2, WIDE - 1, 3, 4, 3, 3, 1, 1, 1, 6))  # widest tap-slice gw
 @example((2, 3, 4, 7, 6, 3, 1, 1, 0, 1, 7))   # 3x1: correlation pads 2 and 0
 @example((2, 3, 4, 6, 7, 1, 3, 1, 0, 1, 8))   # 1x3: correlation pads 0 and 2
+@example((2, 3, 4, 7, 8, 3, 2, 1, 1, 2, 9))   # dilated 3x2: g padded 3 and 1
+@example((2, 3, WIDE, 5, 6, 3, 3, 1, 2, 1, 10))  # wide, pad 2: tap-view gx
+@example((2, 3, 4, 6, 7, 3, 3, 1, 0, 1, 11))  # p = 0: g padded 2 each side
+@example((2, 3, 4, 5, 6, 1, 1, 1, 0, 1, 12))  # 1x1: gx over g's reshape view
 @PROPERTY
 def test_conv2d_gradients_are_adjoints(case):
     n, ci, co, h, w, kh, kw, s, p, d, seed = case
@@ -149,7 +156,7 @@ def test_softmax_ce_backward_is_softmax_minus_onehot(n, c, h, w, seed):
     labels[rng.random((n, h, w)) < 0.3] = 255
     labels.flat[0] = 255  # at least one ignored pixel
     weight = rng.uniform(0.5, 2.0)
-    loss = softmax_ce_loss(Tensor(z), labels)
+    loss = softmax_ce_loss(Tensor(z), ce_targets(labels, c))
     (grad,) = loss.backward_fn(np.asarray(weight))
 
     valid = labels != 255

@@ -11,6 +11,7 @@ from stackseg import ops
 from stackseg.ops import (
     batch_norm,
     bilinear_resize,
+    ce_targets,
     channel_prefix,
     concat_channels,
     conv2d,
@@ -430,8 +431,7 @@ def test_eltwise_add():
 
 def test_softmax_ce_hand_example():
     logits = Tensor(np.array([0.0, np.log(3.0)]).reshape(1, 2, 1, 1))
-    labels = np.array([[[1]]])
-    loss = softmax_ce_loss(logits, labels)
+    loss = softmax_ce_loss(logits, ce_targets(np.array([[[1]]]), 2))
     assert loss.shape == ()
     assert_allclose(float(loss.data), np.log(4.0 / 3.0), rtol=1e-12)
     backward([loss])
@@ -443,9 +443,8 @@ def test_softmax_ce_means_over_valid_pixels_only():
     logits = np.zeros((1, 2, 1, 2))
     logits[0, :, 0, 0] = [0.0, np.log(3.0)]
     logits[0, :, 0, 1] = [5.0, -5.0]
-    labels = np.array([[[1, 255]]])
     t = Tensor(logits)
-    loss = softmax_ce_loss(t, labels)
+    loss = softmax_ce_loss(t, ce_targets(np.array([[[1, 255]]]), 2))
     assert_allclose(float(loss.data), np.log(4.0 / 3.0), rtol=1e-12)
     backward([loss])
     assert_allclose(t.grad[0, :, 0, 1], [0.0, 0.0])
@@ -453,7 +452,7 @@ def test_softmax_ce_means_over_valid_pixels_only():
 
 def test_softmax_ce_all_ignored_is_zero_with_zero_grad():
     t = Tensor(np.ones((1, 3, 2, 2)))
-    loss = softmax_ce_loss(t, np.full((1, 2, 2), 255))
+    loss = softmax_ce_loss(t, ce_targets(np.full((1, 2, 2), 255), 3))
     assert float(loss.data) == 0.0
     backward([loss])
     assert_allclose(t.grad, np.zeros_like(t.data))
@@ -461,34 +460,41 @@ def test_softmax_ce_all_ignored_is_zero_with_zero_grad():
 
 def test_softmax_ce_is_stable_for_huge_logits():
     t = Tensor(np.array([1000.0, 0.0, -1000.0]).reshape(1, 3, 1, 1))
-    loss = softmax_ce_loss(t, np.array([[[0]]]))
+    loss = softmax_ce_loss(t, ce_targets(np.array([[[0]]]), 3))
     assert np.isfinite(float(loss.data))
     assert_allclose(float(loss.data), 0.0, atol=1e-12)
 
 
 def test_softmax_ce_rejects_bad_labels():
-    t = Tensor(np.zeros((1, 3, 2, 2)))
-    with pytest.raises(DataError):
-        softmax_ce_loss(t, np.full((1, 2, 2), 7))
-    with pytest.raises(DataError):
-        softmax_ce_loss(t, np.full((1, 2, 2), -2))
-    with pytest.raises(DataError):
-        softmax_ce_loss(t, np.zeros((1, 3, 3), dtype=int))
+    with pytest.raises(DataError, match="outside"):
+        ce_targets(np.full((1, 2, 2), 7), 3)
+    with pytest.raises(DataError, match="outside"):
+        ce_targets(np.full((1, 2, 2), -2), 3)
+    with pytest.raises(DataError, match="shape"):
+        ce_targets(np.zeros((3, 3), dtype=int), 3)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_softmax_ce_rejects_float_labels(dtype):
-    t = Tensor(np.zeros((1, 3, 1, 2)))
     with pytest.raises(DataError, match="integers"):
-        softmax_ce_loss(t, np.array([[[0.5, 1.0]]], dtype=dtype))
+        ce_targets(np.array([[[0.5, 1.0]]], dtype=dtype), 3)
+
+
+def test_softmax_ce_rejects_targets_unlike_the_logits():
+    t = Tensor(np.zeros((1, 3, 2, 2)))
+    for labels, c in [(np.zeros((1, 3, 3), dtype=int), 3),
+                      (np.zeros((2, 2, 2), dtype=int), 3),
+                      (np.zeros((1, 2, 2), dtype=int), 4)]:
+        with pytest.raises(DataError, match="do not match"):
+            softmax_ce_loss(t, ce_targets(labels, c))
 
 
 def test_softmax_ce_mean_semantics():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((1, 3, 1, 1))
-    one = softmax_ce_loss(Tensor(z), np.array([[[2]]]))
+    one = softmax_ce_loss(Tensor(z), ce_targets(np.array([[[2]]]), 3))
     four = softmax_ce_loss(Tensor(np.tile(z, (1, 1, 2, 2))),
-                           np.full((1, 2, 2), 2))
+                           ce_targets(np.full((1, 2, 2), 2), 3))
     assert_allclose(float(one.data), float(four.data), rtol=1e-12)
 
 
@@ -532,11 +538,14 @@ def test_training_nodes_keep_no_activation_sized_array():
                     Tensor(np.zeros(3, np.float32)), np.zeros(3, np.float32),
                     np.ones(3, np.float32), training=True)
     assert [a.shape for a in held_arrays(bn.backward_fn)] == [(3,), (3,)]
-    # the loss keeps the caller's own label map, and nothing it made itself
+    # the loss keeps the shared targets' label-sized arrays and its own
+    # log-probabilities, one array of the logits' shape and dtype
     labels = rng.integers(0, 3, size=(2, 6, 6))
     labels[0, 0, 0] = 255
-    loss = softmax_ce_loss(x, labels)
-    assert [a is labels for a in held_arrays(loss.backward_fn)] == [True]
+    targets = ce_targets(labels, 3)
+    held = held_arrays(softmax_ce_loss(x, targets).backward_fn)
+    big = [a for a in held if a.shape != labels.shape]
+    assert [(a.shape, a.dtype) for a in big] == [(x.shape, x.data.dtype)]
     # the check itself does see an array kept by a closure
     assert len(held_arrays(dropout(x, 0.5, True,
                                    np.random.default_rng(1)).backward_fn)) == 1
@@ -601,7 +610,8 @@ def test_softmax_ce_is_bitwise_the_along_axis_formula(label_dtype, c, ignored):
     labels = rng.integers(0, c, (2, 5, 7)).astype(label_dtype)
     labels[rng.random(labels.shape) < ignored] = 255
     g = np.float32(0.75)
-    loss = softmax_ce_loss(Tensor(z), labels)
+    targets = ce_targets(labels, c)
+    loss = softmax_ce_loss(Tensor(z), targets)
     (gz,) = loss.backward_fn(g)
     keep = labels != 255
     count = int(keep.sum())
@@ -621,7 +631,8 @@ def test_softmax_ce_is_bitwise_the_along_axis_formula(label_dtype, c, ignored):
     np.testing.assert_array_equal(bits(loss.data), bits(want_loss))
     np.testing.assert_array_equal(bits(gz), bits(want_gz))
     # logits in another memory order index the same entries
-    (gf,) = softmax_ce_loss(Tensor(np.asfortranarray(z)), labels).backward_fn(g)
+    (gf,) = softmax_ce_loss(Tensor(np.asfortranarray(z)),
+                            targets).backward_fn(g)
     np.testing.assert_array_equal(bits(gf), bits(want_gz))
 
 
