@@ -15,6 +15,7 @@ prediction is the last unit's fused ratio-4 map.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import warnings
@@ -293,8 +294,18 @@ class StackedNet(Module):
 
     # -- forward / losses / prediction -------------------------------------
 
-    def forward(self, x, training=False, rng=None):
-        """Run the stack; returns {(unit_index, ratio): fused score Tensor}."""
+    def forward(self, x, training=False, rng=None, ratios=None):
+        """Run the stack; returns {(unit_index, ratio): fused score Tensor}.
+
+        ``ratios`` picks which supervision ratios are scored (None: all of
+        them). Every unit still computes all its taps, since the next unit
+        reads them, but a ratio left out costs no head conv and no add.
+        """
+        if ratios is None:
+            ratios = self.config.supervision_ratios
+        elif not ratios or set(ratios) - set(self.config.supervision_ratios):
+            raise ConfigError(f"ratios {ratios} must be a non-empty subset "
+                              f"of {self.config.supervision_ratios}")
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x))
         _check_batch(x.shape)
@@ -313,7 +324,7 @@ class StackedNet(Module):
         maps = {}
         for i, unit in enumerate(self.units):
             taps = unit(taps, skips, training, rng)
-            for r in self.config.supervision_ratios:
+            for r in ratios:
                 score = self.heads[(i, r)](taps[r])
                 if i:
                     score = eltwise_add(score, maps[(i - 1, r)])
@@ -335,11 +346,14 @@ class StackedNet(Module):
     def predict_logits(self, x):
         """Fused final score map, upsampled to input resolution (ndarray).
 
-        Runs under :func:`no_grad`, so no graph outlives each op.
+        Runs under :func:`no_grad`, so no graph outlives each op, and scores
+        ratio 4 only: the 1/16 and 1/8 heads and their cross-unit adds only
+        train the network, so prediction skips them. Each image's logits
+        are bitwise those of its own n=1 call, whatever the batch.
         """
         x = np.asarray(x)
         with no_grad():
-            maps = self.forward(x, training=False)
+            maps = self.forward(x, training=False, ratios=(4,))
             final = maps[(len(self.units) - 1, 4)]
             return bilinear_resize(final, x.shape[2], x.shape[3]).data
 
@@ -401,48 +415,68 @@ def config_from_state(state):
     return cfg
 
 
+def _padded_size(size):
+    return tuple(n + (-n) % SIZE_MULTIPLE for n in size)
+
+
 def predict_ms_flip(net, image, scales=MS_SCALES, mirror=True,
                     return_probs=False):
     """Average class probabilities over scales (and mirrors) of one image.
 
-    ``image`` is (3, h, w); returns the (h, w) label map, or the pair
-    (labels, averaged probabilities) when ``return_probs`` is set. Every
-    scale must be finite and > 0 (else ``ConfigError``); scales whose
-    resized short side would fall below ``SIZE_MULTIPLE`` are skipped
-    with a warning. Each variant is padded to the size multiple
-    with the image's mean pixel, scored, cropped back, softmaxed, and
-    resized to the original resolution before averaging.
+    ``image`` is a floating (3, h, w) array (else ``DataError``); returns
+    the (h, w) label map, or the pair (labels, averaged probabilities)
+    when ``return_probs`` is set. Every scale must be finite and > 0 (else
+    ``ConfigError``); scales whose resized short side would fall below
+    ``SIZE_MULTIPLE`` are skipped with a warning. Each variant is padded
+    to the size multiple with the image's mean pixel, scored, cropped
+    back, softmaxed, and resized to the original resolution before
+    averaging, in scale-then-mirror order.
+
+    Consecutive variants that pad to the same size share one
+    ``predict_logits`` call: a scale's mirror pair always does, and so do
+    neighbouring scales whose sizes collide after padding to
+    ``SIZE_MULTIPLE``. That happens on small images (a 64px image at the
+    default scales runs 4 forwards of 2, 4, 2 and 2 images, not 5) but
+    rarely on large ones (500x375 pads every default scale differently).
+    Batching changes no bit of the result.
     """
     if not all(math.isfinite(s) and s > 0 for s in scales):
         raise ConfigError(f"scales {scales} must be finite and > 0")
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != 3:
         raise DataError(f"expected (3, h, w) image, got {image.shape}")
+    if not np.issubdtype(image.dtype, np.floating):
+        raise DataError(f"image dtype {image.dtype} is not floating; "
+                        "scale it to [0, 1] floats as read_ppm does")
     h, w = image.shape[1:]
     fill = image.mean(axis=(1, 2))
-    acc = np.zeros((net.config.num_classes, h, w), dtype=np.float64)
-    used = 0
+    sizes = []
     for s in scales:
         sh, sw = int(round(h * s)), int(round(w * s))
         if min(sh, sw) < SIZE_MULTIPLE:
             warnings.warn(f"skipping scale {s}: {sh}x{sw} is below "
                           f"{SIZE_MULTIPLE}px")
-            continue
-        scaled = resize_bilinear_array(image, sh, sw)
-        views = (scaled, scaled[:, :, ::-1]) if mirror else (scaled,)
-        # one n=2 forward for both views: cheaper than two n=1 calls and
-        # bitwise equal to them
+        else:
+            sizes.append((sh, sw))
+    if not sizes:
+        raise DataError(f"no usable scales for {h}x{w} input among {scales}")
+    acc = np.zeros((net.config.num_classes, h, w), dtype=np.float64)
+    for _, run in itertools.groupby(sizes, key=_padded_size):
+        views = []  # (view, flipped), scale then mirror
+        for sh, sw in run:
+            scaled = resize_bilinear_array(image, sh, sw)
+            views.append((scaled, False))
+            if mirror:
+                views.append((scaled[:, :, ::-1], True))
         batch = np.stack([pad_to_multiple(v, SIZE_MULTIPLE, fill)
-                          for v in views])
+                          for v, _ in views])
         logits = net.predict_logits(batch)
-        for flipped, lg in enumerate(logits):
+        for lg, (v, flipped) in zip(logits, views):
+            sh, sw = v.shape[1:]
             probs = softmax_probs(lg[None, :, :sh, :sw])[0]
             probs = resize_bilinear_array(probs, h, w)
             acc += probs[:, :, ::-1] if flipped else probs
-            used += 1
-    if used == 0:
-        raise DataError(f"no usable scales for {h}x{w} input among {scales}")
     pred = np.argmax(acc, axis=0)
     if return_probs:
-        return pred, acc / used
+        return pred, acc / (len(sizes) * (2 if mirror else 1))
     return pred

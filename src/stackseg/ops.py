@@ -535,7 +535,11 @@ def bilinear_resize(x, out_h, out_w):
 
 
 def resize_bilinear_array(a, out_h, out_w):
-    """Plain-ndarray bilinear resize of (..., h, w); no graph node."""
+    """Plain-ndarray bilinear resize of floating (..., h, w); no graph
+    node. An integer array would truncate the interpolation weights."""
+    if not np.issubdtype(a.dtype, np.floating):
+        raise ConfigError(f"resize_bilinear_array: dtype {a.dtype} is not "
+                          "floating")
     ry = resize_matrix(a.shape[-2], out_h, a.dtype)
     rx = resize_matrix(a.shape[-1], out_w, a.dtype)
     return np.matmul(np.matmul(ry, a), rx.T)

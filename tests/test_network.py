@@ -6,7 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from stackseg import ConfigError, DataError, Tensor, UsageError, backward
+from stackseg.data import pad_to_multiple
 from stackseg.network import (
+    MS_SCALES,
     PROFILES,
     NetworkConfig,
     StackedNet,
@@ -15,7 +17,8 @@ from stackseg.network import (
     mini_config,
     predict_ms_flip,
 )
-from stackseg.ops import bilinear_resize
+from stackseg.ops import bilinear_resize, resize_bilinear_array, \
+    softmax_probs
 from stackseg.weights_io import load_weights, save_weights
 
 
@@ -66,6 +69,23 @@ def test_forward_map_shapes_and_ratios():
     assert maps[(0, 16)].shape == (2, 3, 4, 4)
     assert maps[(1, 8)].shape == (2, 3, 8, 8)
     assert maps[(1, 4)].shape == (2, 3, 16, 16)
+
+
+def test_forward_scores_only_the_ratios_asked_for():
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    x = small_input(n=2)
+    every = net.forward(x)
+    for ratios in ((4,), (16, 4), (8,)):
+        maps = net.forward(x, ratios=ratios)
+        assert set(maps) == {(u, r) for u in (0, 1) for r in ratios}
+        for key, score in maps.items():
+            assert np.array_equal(score.data, every[key].data)
+    for bad in ((), (2,), (4, 32)):
+        with pytest.raises(ConfigError, match="ratios"):
+            net.forward(x, ratios=bad)
+    only4 = StackedNet(mini_config(3, supervision_ratios=(4,)), seed=0)
+    with pytest.raises(ConfigError, match="ratios"):
+        only4.forward(x, ratios=(8, 4))  # no ratio-8 heads to score
 
 
 def test_supervision_subset_controls_heads():
@@ -385,3 +405,54 @@ def test_ms_flip_scores_each_mirror_pair_as_one_batch():
     predict_ms_flip(net, image, scales=(0.5, 1.0, 1.4))
     predict_ms_flip(net, image, scales=(1.0,), mirror=False)
     assert batch_sizes == [2, 2, 2, 1]
+    # at 64px, 0.8 (51px) and 1.0 both pad to 64px: one forward of four
+    batch_sizes.clear()
+    predict_ms_flip(net, small_input()[0], scales=MS_SCALES)
+    assert batch_sizes == [2, 4, 2, 2]
+
+
+def _ms_flip_one_variant_at_a_time(net, image, scales, mirror=True):
+    """predict_ms_flip's probabilities with every variant scored alone."""
+    h, w = image.shape[1:]
+    fill = image.mean(axis=(1, 2))
+    acc = np.zeros((net.config.num_classes, h, w))
+    used = 0
+    for s in scales:
+        sh, sw = int(round(h * s)), int(round(w * s))
+        scaled = resize_bilinear_array(image, sh, sw)
+        for flipped in (False, True) if mirror else (False,):
+            view = scaled[:, :, ::-1] if flipped else scaled
+            padded = pad_to_multiple(view, 16, fill)
+            logits = net.predict_logits(padded[None])
+            probs = softmax_probs(logits[:, :, :sh, :sw])[0]
+            probs = resize_bilinear_array(probs, h, w)
+            acc += probs[:, :, ::-1] if flipped else probs
+            used += 1
+    return acc / used
+
+
+@pytest.mark.parametrize("scales,mirror", [
+    (MS_SCALES, True),
+    ((1.0, 0.5, 0.8), True),  # 1.0 and 0.8 pad alike but are not adjacent
+    ((0.8, 0.8, 1.0, 0.5), True),  # a repeated scale, then a third alike
+    ((0.8, 1.0), False),
+])
+def test_ms_flip_probabilities_equal_one_variant_at_a_time(scales, mirror):
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    image = small_input(seed=11)[0]
+    pred, probs = predict_ms_flip(net, image, scales=scales, mirror=mirror,
+                                  return_probs=True)
+    want = _ms_flip_one_variant_at_a_time(net, image, scales, mirror)
+    assert probs.dtype == want.dtype and np.array_equal(probs, want)
+    assert np.array_equal(pred, np.argmax(want, axis=0))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.bool_])
+def test_ms_flip_refuses_integer_images(dtype):
+    # resizing an integer image truncates the interpolation weights to 0
+    # and 1: uint8 images scored up to 0.73 away in probability from the
+    # same values as float32
+    net = StackedNet(mini_config(3), seed=0)
+    image = (small_input()[0] * 255).astype(dtype)
+    with pytest.raises(DataError, match=np.dtype(dtype).name):
+        predict_ms_flip(net, image)

@@ -20,6 +20,7 @@ from stackseg.ops import (
     eltwise_add,
     maxpool2d,
     relu,
+    resize_bilinear_array,
     resize_matrix,
     softmax_ce_loss,
 )
@@ -227,6 +228,17 @@ def test_resize_matrix_is_cached_and_read_only():
     with pytest.raises(ValueError):
         m[0, 0] = 2.0
     assert resize_matrix(7, 19) is not m  # float64 is its own entry
+
+
+def test_resize_bilinear_array_refuses_integer_dtypes():
+    # an integer resize matrix truncates every weight to 0 or 1
+    image = np.arange(24, dtype=np.uint8).reshape(1, 4, 6)
+    for dtype in (np.uint8, np.int64, np.bool_):
+        with pytest.raises(ConfigError, match=np.dtype(dtype).name):
+            resize_bilinear_array(image.astype(dtype), 6, 9)
+    for dtype in (np.float32, np.float64):
+        out = resize_bilinear_array(image.astype(dtype), 6, 9)
+        assert out.dtype == dtype and out.shape == (1, 6, 9)
 
 
 def test_bilinear_resize_1d_hand_example():
