@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .ops import (
     batch_norm,
     bilinear_resize,
-    channel_prefix,
+    concat_channels,
     conv2d,
     deconv2d,
     dropout,
@@ -126,12 +126,11 @@ class BnActConv(Module):
 
 class UpsampleLayer(Module):
     """BN -> ReLU -> 4x4 transposed conv at ``deconv2d``'s default stride 2
-    and pad 1; doubles height/width."""
+    and pad 1; doubles height/width and keeps the ``c`` channels."""
 
-    def __init__(self, name, in_c, out_c, rng):
-        self.bn = BnRelu(f"{name}.bn", in_c)
-        self.w = Param(he_normal(rng, (in_c, out_c, 4, 4), in_c * 4 * 4),
-                       f"{name}.w")
+    def __init__(self, name, c, rng):
+        self.bn = BnRelu(f"{name}.bn", c)
+        self.w = Param(he_normal(rng, (c, c, 4, 4), c * 4 * 4), f"{name}.w")
 
     def __call__(self, x, training=False):
         return deconv2d(self.bn(x, training), self.w.as_tensor())
@@ -143,13 +142,18 @@ class DenseBlock(Module):
     Bottlenecked layers squeeze to 4*growth with a 1x1 conv before the
     3x3; the plain variant runs the 3x3 directly on the running feature.
 
-    The block allocates its output once, at full width, and writes the
-    input and then each layer's new channels into it. Layer k reads the
-    channel prefix ``buf[:, :c_k]`` as a view, whose node has the block
-    input and the earlier layers' outputs as parents, so the running
-    feature is never copied: O(L) bytes per block instead of O(L^2)
-    (Pleiss et al. 2017, "Memory-Efficient Implementation of DenseNets",
-    arXiv 1707.06990). Later writes never touch an earlier prefix.
+    The block takes its input as a list of parts (one feature, or a
+    stage's resampled feature and its lateral input), allocates its
+    output once, at full width, and writes the parts and then each
+    layer's new channels into it. Every concatenation is a
+    :func:`concat_channels` node over a channel prefix of that buffer:
+    first the parts' own (when there are several), then layer k's input
+    ``buf[:, :c_k]``, whose parents are the first concatenation (or the
+    one part) and the earlier layers' outputs. So neither the input nor
+    the running feature is ever copied again: O(L) bytes per block
+    instead of O(L^2) (Pleiss et al. 2017, "Memory-Efficient
+    Implementation of DenseNets", arXiv 1707.06990). Later writes never
+    touch an earlier prefix.
     """
 
     def __init__(self, name, in_c, num_layers, growth, rng, bottleneck=False,
@@ -171,13 +175,16 @@ class DenseBlock(Module):
             c += growth
         self.out_channels = c
 
-    def __call__(self, x, training=False, rng=None):
-        n, c, height, width = x.shape
+    def __call__(self, parts, training=False, rng=None):
+        n, _, height, width = parts[0].shape
         buf = np.empty((n, self.out_channels, height, width),
-                       dtype=x.data.dtype)
-        buf[:, :c] = x.data
-        parts = [x]
-        feat = x
+                       dtype=parts[0].data.dtype)
+        c = 0
+        for h in parts:
+            buf[:, c:c + h.shape[1]] = h.data
+            c += h.shape[1]
+        feat = concat_channels(parts, buf) if len(parts) > 1 else parts[0]
+        parts = [feat]
         for steps in self.layers:
             h = feat
             for step in steps:
@@ -185,7 +192,7 @@ class DenseBlock(Module):
             buf[:, c:c + h.shape[1]] = h.data
             c += h.shape[1]
             parts.append(h)
-            feat = channel_prefix(buf, parts)
+            feat = concat_channels(parts, buf)
         return feat
 
 

@@ -27,8 +27,8 @@ from .data import IGNORE_INDEX, pad_to_multiple
 from .errors import ConfigError, DataError, UsageError
 from .layers import BnActConv, BnRelu, ConvLayer, DenseBlock, \
     Module, TransitionDown, UpsampleLayer
-from .ops import bilinear_resize, ce_targets, concat_channels, eltwise_add, \
-    maxpool2d, resize_bilinear_array, softmax_ce_loss, softmax_probs
+from .ops import bilinear_resize, ce_targets, eltwise_add, maxpool2d, \
+    resize_bilinear_array, softmax_ce_loss, softmax_probs
 from .tensor import Tensor, no_grad
 
 SIZE_MULTIPLE = 16  # inputs must divide evenly down to the deepest scale
@@ -151,7 +151,7 @@ class DenseEncoder(Module):
                       pad=1 if self.stem_pool == 3 else 0)
         skips = {}
         for i, (block, trans) in enumerate(self.stages):
-            h = block(h, training, rng)
+            h = block([h], training, rng)
             if i in SKIP_BLOCKS:
                 skips[SKIP_BLOCKS[i]] = h
             if trans is not None:
@@ -161,14 +161,15 @@ class DenseEncoder(Module):
 
 class Stage(Module):
     """One step of a stacked unit: halve resolution by 2x2 max pooling, or
-    double it with a width-preserving transposed conv when ``up``; merge
-    the same-scale lateral input, grow dense features, and compress to
-    ``out_c`` (None keeps the block width: the last unit's final stage
-    stays wide)."""
+    double it with a width-preserving transposed conv when ``up``; hand
+    the resampled feature and the same-scale lateral input to the dense
+    block, which concatenates them in its own buffer as it grows dense
+    features; and compress to ``out_c`` (None keeps the block width: the
+    last unit's final stage stays wide)."""
 
     def __init__(self, name, in_c, skip_c, num_layers, growth, out_c, rng,
                  up):
-        self.up = UpsampleLayer(f"{name}.up", in_c, in_c, rng) if up else None
+        self.up = UpsampleLayer(f"{name}.up", in_c, rng) if up else None
         self.block = DenseBlock(f"{name}.block", in_c + skip_c, num_layers,
                                 growth, rng, keep_prob=KEEP_PROB)
         self.comp = None
@@ -181,8 +182,7 @@ class Stage(Module):
 
     def __call__(self, x, skip, training=False, rng=None):
         h = self.up(x, training) if self.up else maxpool2d(x, kernel=2)
-        h = concat_channels([h, skip])
-        h = self.block(h, training, rng)
+        h = self.block([h, skip], training, rng)
         return self.comp(h, training, rng) if self.comp else h
 
 
@@ -366,7 +366,18 @@ class StackedNet(Module):
         _check_batch(x.shape)
         h, w = x.shape[2:]
         padded = np.stack([pad_to_multiple(im, SIZE_MULTIPLE) for im in x])
-        return np.argmax(self.predict_logits(padded), axis=1)[:, :h, :w]
+        return _labels(self.predict_logits(padded)[:, :, :h, :w], axis=1)
+
+
+def _labels(scores, axis):
+    """The argmax of class scores over ``axis``. Raises DataError if any
+    score is not finite, where ``np.argmax`` would return the index of
+    the first NaN."""
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise DataError(f"{bad} of {scores.size} class scores are not "
+                        "finite; the weights may have diverged")
+    return np.argmax(scores, axis=axis)
 
 
 _HEAD_NAME = re.compile(r"unit([1-9]\d{0,8})\.head(\d{1,2})\.w")
@@ -476,7 +487,7 @@ def predict_ms_flip(net, image, scales=MS_SCALES, mirror=True,
             probs = softmax_probs(lg[None, :, :sh, :sw])[0]
             probs = resize_bilinear_array(probs, h, w)
             acc += probs[:, :, ::-1] if flipped else probs
-    pred = np.argmax(acc, axis=0)
+    pred = _labels(acc, axis=0)
     if return_probs:
         return pred, acc / (len(sizes) * (2 if mirror else 1))
     return pred

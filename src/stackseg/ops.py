@@ -28,7 +28,10 @@ bitwise those of kept copies. Still kept: the patch matrix of a strided,
 1x1 or wide conv (or of the transposed conv's gradient), dropout's bool
 mask, and cross-entropy's log-probabilities, which cost less to keep
 than to recompute for every loss head; the heads of one batch share one
-label preparation (:func:`ce_targets`).
+label preparation (:func:`ce_targets`). A channel concatenation is one
+:func:`concat_channels` node, and in the network every one is a view of
+the buffer a dense block writes its input parts and layer outputs into,
+so none copies.
 
 Layout conventions:
   activations  (n, c, h, w)
@@ -665,35 +668,33 @@ def _split_channels(widths):
     return backward_fn
 
 
-def concat_channels(xs):
-    xs = [as_tensor(t) for t in xs]
-    if not xs:
-        raise ConfigError("concat_channels: empty input list")
-    base = xs[0].shape
-    for t in xs[1:]:
-        if (t.shape[0],) + t.shape[2:] != (base[0],) + base[2:]:
-            raise ConfigError(
-                f"concat_channels: shape {t.shape} incompatible with {base} "
-                "(batch/height/width must match)"
-            )
-    if len(xs) == 1:
-        return xs[0]
-    out = np.concatenate([t.data for t in xs], axis=1)
-    return Tensor(out, xs, _split_channels([t.shape[1] for t in xs]),
-                  op="concat")
+def concat_channels(xs, buf=None):
+    """The channel concatenation of ``xs`` as one node; backward slices
+    the gradient back into parts.
 
-
-def channel_prefix(buf, parts):
-    """The channel concatenation of ``parts`` as a node over a view of
-    ``buf``, into which the caller has already written each part at its
-    channel offset.
-
-    Nothing is copied; backward slices the gradient as
-    :func:`concat_channels` does. Dense blocks grow one buffer this way
-    instead of copying the running feature at every layer.
+    Without ``buf`` the parts' batch and spatial sizes are checked and
+    the parts copied into a fresh array (one part is returned as it is).
+    With ``buf``, the caller has already written each part at its channel
+    offset, so nothing is checked or copied: the node's data is the view
+    ``buf[:, :c]`` of the parts' total width ``c``. Dense blocks grow one
+    buffer this way instead of copying the running feature at every
+    layer.
     """
-    widths = [t.shape[1] for t in parts]
-    return Tensor(buf[:, :sum(widths)], parts, _split_channels(widths),
+    if buf is None:
+        xs = [as_tensor(t) for t in xs]
+        if not xs:
+            raise ConfigError("concat_channels: empty input list")
+        base = xs[0].shape
+        for t in xs[1:]:
+            if (t.shape[0],) + t.shape[2:] != (base[0],) + base[2:]:
+                raise ConfigError(
+                    f"concat_channels: shape {t.shape} incompatible with "
+                    f"{base} (batch/height/width must match)")
+        if len(xs) == 1:
+            return xs[0]
+        buf = np.concatenate([t.data for t in xs], axis=1)
+    widths = [t.shape[1] for t in xs]
+    return Tensor(buf[:, :sum(widths)], xs, _split_channels(widths),
                   op="concat")
 
 

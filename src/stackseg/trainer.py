@@ -14,7 +14,6 @@ import numpy as np
 
 from .data import mean_pixel, pad_bottom_right
 from .errors import ConfigError, DataError, DivergenceError
-from .metrics import EvalAccumulator
 from .network import SIZE_MULTIPLE
 from .ops import resize_bilinear_array, resize_nearest_labels
 from .tensor import backward
@@ -158,12 +157,3 @@ def train(net, samples, cfg, log_fn=None):
             log_fn(f"{it}\t{lr:.6g}\t{total:.6g}\t{heads}")
     return history
 
-
-def evaluate(net, samples):
-    """Score plain single-scale predictions against sample labels."""
-    acc = EvalAccumulator(net.config.num_classes)
-    for s in samples:
-        if s.labels is None:
-            raise DataError(f"sample {s.name} has no labels to score against")
-        acc.update(s.labels, net.predict(s.image[None])[0])
-    return acc

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from scoring import evaluate
 from stackseg.analyzer import architecture_report
 from stackseg.data import synth_dataset
 from stackseg.gradcheck import (
@@ -28,7 +29,7 @@ from stackseg.network import (
 )
 from stackseg.ops import conv2d, deconv2d
 from stackseg.tensor import Tensor, backward
-from stackseg.trainer import TrainConfig, evaluate, poly_lr, train
+from stackseg.trainer import TrainConfig, poly_lr, train
 from stackseg.weights_io import load_weights, save_weights
 
 TRAIN_SEEDS = (0, 1, 2)

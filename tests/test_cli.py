@@ -89,6 +89,25 @@ def test_infer_ms_flip(workspace):
     assert len(list(preds.iterdir())) == 6
 
 
+@pytest.mark.parametrize("flags", [(), ("--ms-flip",)],
+                         ids=["plain", "ms_flip"])
+def test_infer_refuses_non_finite_scores(workspace, tmp_path, capsys, flags):
+    """A diverged checkpoint (finite but huge weights) used to infer all-zero
+    maps and exit 0, since ``np.argmax`` returns the first NaN's index."""
+    data = str(workspace / "data" / "manifest.txt")
+    weights = tmp_path / "diverged.sdnw"
+    assert run(["train", "--data", data, "--out", str(weights),
+                "--units", "1", "--supervision", "4", "--iters", "1",
+                "--batch", "1", "--crop", "32", "--lr", "1e38"]) == 0
+    capsys.readouterr()
+    preds = tmp_path / "p"
+    with np.errstate(all="ignore"):
+        assert run(["infer", "--weights", str(weights), "--data", data,
+                    "--out", str(preds), *flags]) == 1
+    assert "class scores are not finite" in capsys.readouterr().err
+    assert not preds.exists()
+
+
 def test_checkpoint_is_self_describing(workspace, tmp_path, capsys):
     """infer must rebuild the right topology from the file alone, even for
     a non-default shape (2 units, heads only at ratio 4)."""

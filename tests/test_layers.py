@@ -97,7 +97,7 @@ def test_bn_act_conv_composition():
 
 def test_upsample_layer_doubles():
     rng = np.random.default_rng(4)
-    up = UpsampleLayer("up", 6, 6, rng)
+    up = UpsampleLayer("up", 6, rng)
     out = up(Tensor(np.zeros((1, 6, 5, 7), dtype=np.float32)))
     assert out.shape == (1, 6, 10, 14)
     assert up.w.value.shape == (6, 6, 4, 4)
@@ -110,7 +110,7 @@ def test_dense_block_growth(bottleneck):
     assert block.out_channels == 22
     x = Tensor(np.random.default_rng(2).standard_normal((1, 10, 8, 8))
                .astype(np.float32))
-    out = block(x, training=False)
+    out = block([x], training=False)
     assert out.shape == (1, 22, 8, 8)
     # the input channels ride through unchanged
     assert_allclose(out.data[:, :10], x.data)
@@ -134,37 +134,46 @@ def concat_block(block, x, training, rng):
 
 @pytest.mark.parametrize("bottleneck", [False, True])
 def test_dense_block_shares_one_buffer_and_equals_plain_concat(bottleneck):
+    """One input part (an encoder block) or two (a stage's resampled
+    feature and its lateral input): every concatenation is a view of the
+    block's one buffer, and values and gradients are bitwise those of
+    copying concatenations."""
     block = DenseBlock("b", 5, 4, 3, np.random.default_rng(9),
                        bottleneck=bottleneck, keep_prob=0.8)
     data = np.random.default_rng(10).standard_normal((2, 5, 6, 6)) \
         .astype(np.float32)
     r = np.random.default_rng(11).standard_normal((2, 17, 6, 6)) \
         .astype(np.float32)
-    grads = []
-    for run in (block, lambda *a: concat_block(block, *a)):
-        x = Tensor(data)
-        out = run(x, True, np.random.default_rng(12))
-        nodes = toposort([out])
-        if run is block:
-            prefixes = [t for t in nodes if t.op == "concat"]
-            assert len(prefixes) == 4
-            assert all(np.shares_memory(t.data, out.data) for t in prefixes)
-            assert sorted(t.shape[1] for t in prefixes) == [8, 11, 14, 17]
-            shared = out.data
-        else:
-            np.testing.assert_array_equal(out.data, shared)  # bitwise
-        for p in block.params():
-            p.grad = None
-        backward([weighted_sum(out, r)])
-        grads.append([x.grad] + [p.grad for p in block.params()])
-    for have, want in zip(*grads):
-        np.testing.assert_array_equal(have, want)
+    for split in ([5], [3, 2]):
+        grads = []
+        for buffered in (True, False):
+            parts = [Tensor(np.ascontiguousarray(a))
+                     for a in np.split(data, split[:-1], axis=1)]
+            if buffered:
+                out = block(parts, True, np.random.default_rng(12))
+                concats = [t for t in toposort([out]) if t.op == "concat"]
+                assert sorted(t.shape[1] for t in concats) == \
+                    [5] * (len(parts) > 1) + [8, 11, 14, 17]
+                assert all(np.shares_memory(t.data, out.data)
+                           for t in concats)
+                shared = out.data
+            else:
+                out = concat_block(block, concat_channels(parts), True,
+                                   np.random.default_rng(12))
+                np.testing.assert_array_equal(out.data, shared)  # bitwise
+            for p in block.params():
+                p.grad = None
+            backward([weighted_sum(out, r)])
+            grads.append([t.grad for t in parts]
+                         + [p.grad for p in block.params()])
+        for have, want in zip(*grads):
+            np.testing.assert_array_equal(have, want)
 
 
 def test_dense_block_dilation_keeps_size():
     rng = np.random.default_rng(6)
     block = DenseBlock("b", 4, 2, 4, rng, dilation=2)
-    out = block(Tensor(np.zeros((1, 4, 9, 9), dtype=np.float32)))
+    out = block([Tensor(np.zeros((1, 4, 9, 9), dtype=np.float32))])
     assert out.shape == (1, 12, 9, 9)
 
 

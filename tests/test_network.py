@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from stackseg.network import (
 )
 from stackseg.ops import bilinear_resize, resize_bilinear_array, \
     softmax_probs
+from stackseg.tensor import toposort
 from stackseg.weights_io import load_weights, save_weights
 
 
@@ -161,6 +163,20 @@ def test_training_backward_reaches_every_param():
     untouched = [p.name for p in net.params()
                  if p.grad is None or not np.any(p.grad)]
     assert untouched == []
+
+
+def test_every_concatenation_is_a_view_of_a_dense_block_buffer():
+    # 6 in the encoder's blocks; per stage of the two units, its lateral
+    # concatenation and one per dense layer: 6 in unit1, 14 in unit2
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    maps = net.forward(small_input(n=2), training=True,
+                       rng=np.random.default_rng(3))
+    concats = [t for t in toposort(list(maps.values())) if t.op == "concat"]
+    assert len(concats) == 26
+    assert all(t.data.base is not None for t in concats)
+    # one buffer per dense block, none of whose concatenations owns it
+    per_buffer = Counter(id(t.data.base) for t in concats)
+    assert sorted(per_buffer.values()) == [2, 2, 2, 3, 3, 3, 3, 3, 5]
 
 
 def test_training_step_peak_memory_is_bounded():
@@ -456,3 +472,17 @@ def test_ms_flip_refuses_integer_images(dtype):
     image = (small_input()[0] * 255).astype(dtype)
     with pytest.raises(DataError, match=np.dtype(dtype).name):
         predict_ms_flip(net, image)
+
+
+@pytest.mark.parametrize("predict", [
+    lambda net, image: net.predict(image[None]),
+    lambda net, image: predict_ms_flip(net, image),
+], ids=["plain", "ms_flip"])
+def test_prediction_refuses_non_finite_scores(predict):
+    # np.argmax returns the first NaN's index: a NaN in one head weight
+    # used to give an all-zero label map
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    net.heads[(1, 4)].w.value[0, 0, 0, 0] = np.nan
+    with pytest.raises(DataError, match="not finite"), \
+            np.errstate(invalid="ignore"):
+        predict(net, small_input()[0])

@@ -12,7 +12,6 @@ from stackseg.ops import (
     batch_norm,
     bilinear_resize,
     ce_targets,
-    channel_prefix,
     concat_channels,
     conv2d,
     deconv2d,
@@ -720,13 +719,14 @@ def test_maxpool2d_routes_a_nan_window_to_its_first_nan():
     np.testing.assert_array_equal(gx.ravel(), [0.0, 3.0, 0.0, 0.0])
 
 
-def test_channel_prefix_views_one_buffer_and_slices_grads():
+def test_concat_channels_over_a_buffer_views_it_and_slices_grads():
     rng = np.random.default_rng(6)
     parts = [Tensor(rng.standard_normal((2, c, 3, 4))) for c in (3, 1, 2)]
     buf = np.concatenate([t.data for t in parts] + [np.zeros((2, 5, 3, 4))],
                          axis=1)
-    node = channel_prefix(buf, parts)
+    node = concat_channels(parts, buf)
     assert np.shares_memory(node.data, buf) and node.shape == (2, 6, 3, 4)
+    assert node.op == "concat" and node.parents == tuple(parts)
     np.testing.assert_array_equal(node.data,
                                   concat_channels(parts).data)
     g = rng.standard_normal(node.shape)

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import stackseg
+from scoring import evaluate
 from stackseg import ConfigError, DataError, DivergenceError, Param, trainer
 from stackseg.data import Sample, synth_dataset
 from stackseg.network import StackedNet, mini_config
@@ -15,7 +16,6 @@ from stackseg.trainer import (
     WEIGHT_DECAY,
     TrainConfig,
     augment,
-    evaluate,
     poly_lr,
     sgd_step,
     train,
