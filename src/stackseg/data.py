@@ -1,8 +1,10 @@
 """Image and label IO, dataset manifests, and a synthetic shapes task.
 
 Images travel as (3, h, w) float32 in [0, 1] (8-bit binary PPM on disk,
-value/255); labels and predictions as (h, w) uint8 label maps (binary PGM),
-with 255 reserved for ignored pixels.
+value/255). A loaded dataset stores each image as its PPM's own 8-bit
+pixels, a quarter of the float bytes, and serves it as float32 on each
+read of ``Sample.image``. Labels and predictions are (h, w) uint8 label
+maps (binary PGM), with 255 reserved for ignored pixels.
 
 A manifest is a text file of ``key = value`` header lines followed by one
 ``image<TAB>label`` row per sample (the label column may be omitted for
@@ -23,9 +25,23 @@ _PNM_FIELD_DIGITS = 9  # longest header number read; larger is corrupt
 
 @dataclass
 class Sample:
-    image: np.ndarray
+    """One image with its label map (None when unlabeled).
+
+    ``pixels`` is what the sample was built from: a loaded sample's
+    (3, h, w) uint8 view of its PPM's bytes, or any float image, such as a
+    synthetic one. ``image`` reads it as float32 in [0, 1].
+    """
+
+    pixels: np.ndarray
     labels: np.ndarray | None
     name: str
+
+    @property
+    def image(self):
+        """(3, h, w) float32 in [0, 1]: uint8 pixels converted as
+        :func:`read_ppm` converts them, on every read; a float image is
+        returned as it is."""
+        return _as_float(self.pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +93,22 @@ def _read_pnm(path, magic, channels):
     return pixels
 
 
+def _read_ppm_pixels(path):
+    """(3, h, w) uint8: the transposed view of the file's (h, w, 3) bytes."""
+    return _read_pnm(path, b"P6", 3).transpose(2, 0, 1)
+
+
+def _as_float(pixels):
+    """uint8 pixels as float32 value/255, in their memory order; any other
+    array is returned as it is."""
+    if pixels.dtype == np.uint8:
+        return pixels.astype(np.float32) / 255.0
+    return pixels
+
+
 def read_ppm(path):
     """(3, h, w) float32 in [0, 1]."""
-    pixels = _read_pnm(path, b"P6", 3)
-    return (pixels.astype(np.float32) / 255.0).transpose(2, 0, 1)
+    return _as_float(_read_ppm_pixels(path))
 
 
 def write_ppm(path, image):
@@ -158,21 +186,25 @@ def write_manifest(path, meta, rows):
 
 
 def load_samples(manifest_path):
-    """Materialize every sample a manifest points at."""
+    """Materialize every sample a manifest points at.
+
+    Each image is kept as the bytes its PPM holds, (3, h, w) uint8, and
+    each label map as its PGM's: h·w·3 + h·w bytes per sample.
+    """
     meta, rows = parse_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     samples = []
     for image_rel, label_rel in rows:
-        image = read_ppm(os.path.join(base, image_rel))
+        pixels = _read_ppm_pixels(os.path.join(base, image_rel))
         labels = None
         if label_rel is not None:
             labels = read_pgm(os.path.join(base, label_rel))
-            if labels.shape != image.shape[1:]:
+            if labels.shape != pixels.shape[1:]:
                 raise DataError(
-                    f"{image_rel}: image is {image.shape[1:]} but label map "
+                    f"{image_rel}: image is {pixels.shape[1:]} but label map "
                     f"{label_rel} is {labels.shape}")
         name = os.path.splitext(os.path.basename(image_rel))[0]
-        samples.append(Sample(image, labels, name))
+        samples.append(Sample(pixels, labels, name))
     if not samples:
         raise DataError(f"{manifest_path}: no samples listed")
     return meta, samples
@@ -204,8 +236,9 @@ def mean_pixel(samples):
     total = np.zeros(3, dtype=np.float64)
     count = 0
     for s in samples:
-        total += s.image.sum(axis=(1, 2))
-        count += s.image.shape[1] * s.image.shape[2]
+        image = s.image
+        total += image.sum(axis=(1, 2))
+        count += image.shape[1] * image.shape[2]
     if count == 0:
         raise DataError("mean_pixel of an empty dataset")
     return (total / count).astype(np.float32)

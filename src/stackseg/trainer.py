@@ -89,10 +89,11 @@ def augment(sample, cfg, rng, fill):
     ignore), and mirror with probability HFLIP_PROB."""
     s = SCALES[rng.integers(len(SCALES))]
     a = ASPECTS[rng.integers(len(ASPECTS))]
-    h, w = sample.image.shape[1:]
+    image = sample.image
+    h, w = image.shape[1:]
     nh = max(1, int(round(h * s * math.sqrt(a))))
     nw = max(1, int(round(w * s / math.sqrt(a))))
-    image = resize_bilinear_array(sample.image.astype(np.float32, copy=False),
+    image = resize_bilinear_array(image.astype(np.float32, copy=False),
                                   nh, nw)
     labels = resize_nearest_labels(sample.labels, nh, nw)
 
@@ -112,6 +113,9 @@ def augment(sample, cfg, rng, fill):
 
 def train(net, samples, cfg, log_fn=None):
     """Run the loop; returns one history dict per iteration.
+
+    Raises :class:`DivergenceError` on a non-finite loss, and after the
+    last iteration if any parameter is not finite.
 
     Log rows are ``iter<TAB>lr<TAB>total_loss<TAB>name=value,...`` with
     one name=value per supervision head.
@@ -155,5 +159,11 @@ def train(net, samples, cfg, log_fn=None):
         if log_fn and (it % cfg.log_every == 0 or it == cfg.max_iter - 1):
             heads = ",".join(f"{k}={v:.4g}" for k, v in head_losses.items())
             log_fn(f"{it}\t{lr:.6g}\t{total:.6g}\t{heads}")
+    # a diverged update shows in the next loss; only the last one has none
+    bad = [p.name for p in params if not np.isfinite(p.value).all()]
+    if bad:
+        raise DivergenceError(
+            f"{len(bad)} parameters are not finite after the last update "
+            f"(lr was {lr:.3g}): {', '.join(bad)}")
     return history
 

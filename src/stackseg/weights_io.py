@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import secrets
 import struct
 
 import numpy as np
@@ -20,20 +21,34 @@ VERSION = 1
 
 
 def save_weights(path, state):
-    """Write a name -> ndarray mapping; values are stored as float32."""
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(state)))
-        for name in sorted(state):
-            # asarray, not ascontiguousarray: the latter promotes rank-0
-            # values to shape (1,), and tobytes() copies to C order anyway
-            value = np.asarray(state[name], dtype=np.float32)
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", value.ndim))
-            f.write(struct.pack(f"<{value.ndim}I", *value.shape))
-            f.write(value.tobytes())
+    """Write a name -> ndarray mapping; values are stored as float32.
+
+    The container is written to a new file beside ``path`` and renamed
+    over it, so a write that fails midway leaves any file already at
+    ``path`` as it was.
+    """
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    # O_EXCL: never write into a file already there; 0o666 less the umask
+    # is the mode open() would give
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", VERSION, len(state)))
+            for name in sorted(state):
+                # asarray, not ascontiguousarray: the latter promotes rank-0
+                # values to shape (1,), and tobytes() copies to C order anyway
+                value = np.asarray(state[name], dtype=np.float32)
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<I", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<I", value.ndim))
+                f.write(struct.pack(f"<{value.ndim}I", *value.shape))
+                f.write(value.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_exactly(f, n, left, path, what):

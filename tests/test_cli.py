@@ -133,6 +133,19 @@ def test_train_rejects_log_every_0(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
+def test_train_whose_last_update_diverges_exits_1(workspace, tmp_path,
+                                                  capsys):
+    # one iteration: its loss is finite, the update it makes is not
+    out = tmp_path / "w.sdnw"
+    assert run(["train", "--data", str(workspace / "data" / "manifest.txt"),
+                "--out", str(out), "--iters", "1", "--batch", "1",
+                "--crop", "32", "--lr", "1e38"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "encoder.stem.w" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--noise", "-1"), ("--noise", "nan"), ("--size", "0"), ("--size", "3"),
     ("--count", "0"), ("--count", "-1"),

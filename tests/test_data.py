@@ -180,6 +180,46 @@ def test_load_samples_checks_sizes(tmp_path):
         load_samples(manifest)
 
 
+def test_load_samples_keeps_the_ppm_bytes(tmp_path):
+    n, size = 4, 64
+    manifest = save_dataset(tmp_path / "ds", synth_dataset(n, size, seed=4),
+                            {"num_classes": "3"})
+    tracemalloc.start()
+    try:
+        _, loaded = load_samples(manifest)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for s in loaded:
+        assert s.pixels.dtype == np.uint8 and s.pixels.shape == (3, size, size)
+        assert s.pixels.nbytes == 3 * size * size
+        # the (h, w, 3) buffer the file was read into, not a copy of it
+        assert s.pixels.base.shape == (size, size, 3)
+    # h·w·3 image bytes and h·w label bytes per sample, plus small objects;
+    # float32 images alone would hold 12·h·w
+    assert held < n * 4 * size * size + (16 << 10)
+
+
+def test_sample_image_is_read_ppm_of_its_file(tmp_path):
+    manifest = save_dataset(tmp_path / "ds", synth_dataset(2, 24, seed=5),
+                            {"num_classes": "3"})
+    _, loaded = load_samples(manifest)
+    for s in loaded:
+        want = read_ppm(tmp_path / "ds" / f"{s.name}.ppm")
+        got = s.image
+        assert got.dtype == want.dtype == np.float32
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(AttributeError):
+            s.image = want  # read-only: the sample holds only its pixels
+
+
+def test_a_float_sample_serves_its_own_array():
+    image = np.zeros((3, 4, 5), dtype=np.float32)
+    s = Sample(image, None, "f")
+    assert s.image is image and s.pixels is image
+
+
 # ---------------------------------------------------------------------------
 # helpers
 

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 import stackseg
 from scoring import evaluate
 from stackseg import ConfigError, DataError, DivergenceError, Param, trainer
-from stackseg.data import Sample, synth_dataset
+from stackseg.data import Sample, load_samples, read_ppm, save_dataset, \
+    synth_dataset
 from stackseg.network import StackedNet, mini_config
 from stackseg.trainer import (
     MOMENTUM,
@@ -217,6 +218,23 @@ def test_train_on_uint8_labels_is_bitwise_the_int64_run():
         assert a[name].tobytes() == b[name].tobytes(), name
 
 
+def test_training_on_loaded_samples_is_bitwise_training_on_read_ppm(tmp_path):
+    manifest = save_dataset(tmp_path / "ds", synth_dataset(4, 40, seed=12),
+                            {"num_classes": "3"})
+    _, loaded = load_samples(manifest)
+    floats = [Sample(read_ppm(tmp_path / "ds" / f"{s.name}.ppm"), s.labels,
+                     s.name) for s in loaded]
+    cfg = TrainConfig(max_iter=3, batch_size=2, crop=32, seed=8)
+    nets = [StackedNet(mini_config(3, num_units=2), seed=0) for _ in range(2)]
+    h1 = train(nets[0], loaded, cfg)
+    h2 = train(nets[1], floats, cfg)
+    assert h1 == h2
+    a, b = (n.state_dict() for n in nets)
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].tobytes() == b[name].tobytes(), name
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf weights on purpose
 def test_train_aborts_on_non_finite_loss():
     net = tiny_net()
@@ -224,6 +242,18 @@ def test_train_aborts_on_non_finite_loss():
     samples = synth_dataset(4, size=64, seed=11)
     with pytest.raises(DivergenceError, match="unit1.r4"):
         train(net, samples, TrainConfig(max_iter=2, batch_size=2, crop=32))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
+def test_train_checks_the_parameters_after_the_last_update():
+    # the only update whose loss is never computed is the last one
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    samples = synth_dataset(4, size=64, seed=11)
+    cfg = TrainConfig(base_lr=1e38, max_iter=1, batch_size=1, crop=32)
+    with pytest.raises(DivergenceError, match="last update") as err:
+        train(net, samples, cfg)
+    bad = [p.name for p in net.params() if not np.isfinite(p.value).all()]
+    assert bad and str(err.value).split(": ", 1)[1].split(", ") == bad
 
 
 def test_divergence_error_is_exported_beside_the_other_errors():

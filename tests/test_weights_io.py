@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 
@@ -45,6 +46,25 @@ def test_files_are_deterministic_regardless_of_insertion_order(tmp_path):
     a = (tmp_path / "a.sdnw").read_bytes()
     assert a == (tmp_path / "b.sdnw").read_bytes()
     assert a[:4] == MAGIC
+
+
+def test_a_failed_save_leaves_the_old_file_and_no_other(tmp_path):
+    path = tmp_path / "w.sdnw"
+    save_weights(path, sample_state())
+    old = path.read_bytes()
+    # written last, in sorted order, after every other tensor
+    broken = dict(sample_state(), **{"z.last": "not a number"})
+    with pytest.raises(ValueError):
+        save_weights(path, broken)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["w.sdnw"]
+
+
+def test_saved_file_has_the_mode_of_a_plainly_created_one(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    save_weights(tmp_path / "w.sdnw", sample_state())
+    assert os.stat(tmp_path / "w.sdnw").st_mode == os.stat(plain).st_mode
 
 
 def test_bad_magic(tmp_path):
