@@ -13,6 +13,7 @@ for one decoder-entry pixel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .network import DOWN_LAYERS, SKIP_BLOCKS, UP_LAYERS
@@ -145,8 +146,9 @@ def architecture_report(cfg):
 
 
 def count_network_params(net):
-    """The other route: count what was actually built, per section."""
-    return {name: sum(p.value.size for p in group)
+    """The other route: count what was actually built, per section. Counts
+    from shapes, so no weight is drawn."""
+    return {name: sum(math.prod(p.shape) for p in group)
             for name, group in net.param_groups().items()}
 
 

@@ -107,6 +107,7 @@ def cmd_infer(args):
     state.pop("meta.config", None)  # the config copy earlier versions wrote
     net = StackedNet(config_from_state(state))
     net.load_state(state)
+    del state  # the net holds its own copy of every weight
     _, samples = _load_named_samples(args.data)
     for s in samples:
         if args.ms_flip:

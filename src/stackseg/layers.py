@@ -6,12 +6,18 @@ included, derives from :class:`Module`, whose ``params()`` (trainable
 tensors) and ``buffers()`` (named running statistics) come from one walk
 over the instance attributes in assignment order, descending into
 sub-modules, lists, tuples and dict values (in insertion order).
-Construction order is therefore parameter order. Parameters and running
-statistics are both updated in place, so the arrays the walk returns
-stay the network's own. Parameter names are dotted paths rooted at the
-owning network.
+Construction order is therefore parameter order, and it is also the
+order in which a network's conv and deconv weights are drawn from its one
+:class:`WeightStream`. The draws happen on the first read of any weight,
+not at construction: a network whose weights are all loaded draws none,
+and one that trains or saves them gets exactly what drawing each at
+construction would give. Parameters and running statistics are both
+updated in place, so the arrays the walk returns stay the network's own.
+Parameter names are dotted paths rooted at the owning network.
 """
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -25,12 +31,44 @@ from .ops import (
     dropout,
     relu,
 )
-from .tensor import Param
+from .tensor import Owed, Param
 
 
 def he_normal(rng, shape, fan_in):
     return (rng.standard_normal(shape)
             * np.sqrt(2.0 / fan_in)).astype(np.float32)
+
+
+class WeightStream:
+    """He-normal weights drawn from one seeded Generator, in the order they
+    were asked for, when the first of them is read.
+
+    ``param`` hands out pending Params. Reading the value of any of them
+    calls :meth:`fill`, which draws every weight still owed, one
+    :func:`he_normal` call each in the order asked for, so each weight
+    equals what an immediate draw would have given. A Param whose value was
+    assigned meanwhile (``StackedNet.load_state`` does so) or that is gone
+    still takes its share of the stream, which keeps every later weight the
+    same; its draw is discarded. The stream refers to its Params weakly, so
+    no Param and its stream form a reference cycle.
+    """
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._owed = []  # (weak reference to the Param, shape, fan_in)
+
+    def param(self, name, shape, fan_in):
+        p = Param(Owed(self, shape), name)
+        self._owed.append((weakref.ref(p), shape, fan_in))
+        return p
+
+    def fill(self):
+        owed, self._owed = self._owed, []
+        for ref, shape, fan_in in owed:
+            value = he_normal(self._rng, shape, fan_in)
+            p = ref()
+            if p is not None and p.pending:
+                p.value = value
 
 
 def avg_pool_half(x):
@@ -72,13 +110,12 @@ class Module:
 class ConvLayer(Module):
     """Bare convolution, padded to keep the size for odd kernels."""
 
-    def __init__(self, name, in_c, out_c, kernel, rng, stride=1, dilation=1,
+    def __init__(self, name, in_c, out_c, kernel, init, stride=1, dilation=1,
                  bias=False):
         self.stride, self.dilation = stride, dilation
         self.pad = dilation * (kernel - 1) // 2
-        fan_in = in_c * kernel * kernel
-        self.w = Param(he_normal(rng, (out_c, in_c, kernel, kernel), fan_in),
-                       f"{name}.w")
+        self.w = init.param(f"{name}.w", (out_c, in_c, kernel, kernel),
+                            in_c * kernel * kernel)
         self.b = None
         if bias:
             self.b = Param(np.zeros(out_c, dtype=np.float32), f"{name}.b",
@@ -112,10 +149,10 @@ class BnRelu(Module):
 class BnActConv(Module):
     """BN -> ReLU -> conv, with optional dropout on the conv output."""
 
-    def __init__(self, name, in_c, out_c, kernel, rng, dilation=1,
+    def __init__(self, name, in_c, out_c, kernel, init, dilation=1,
                  bias=False, keep_prob=1.0):
         self.bn = BnRelu(f"{name}.bn", in_c)
-        self.conv = ConvLayer(f"{name}.conv", in_c, out_c, kernel, rng,
+        self.conv = ConvLayer(f"{name}.conv", in_c, out_c, kernel, init,
                               dilation=dilation, bias=bias)
         self.keep_prob = keep_prob
 
@@ -128,9 +165,9 @@ class UpsampleLayer(Module):
     """BN -> ReLU -> 4x4 transposed conv at ``deconv2d``'s default stride 2
     and pad 1; doubles height/width and keeps the ``c`` channels."""
 
-    def __init__(self, name, c, rng):
+    def __init__(self, name, c, init):
         self.bn = BnRelu(f"{name}.bn", c)
-        self.w = Param(he_normal(rng, (c, c, 4, 4), c * 4 * 4), f"{name}.w")
+        self.w = init.param(f"{name}.w", (c, c, 4, 4), c * 4 * 4)
 
     def __call__(self, x, training=False):
         return deconv2d(self.bn(x, training), self.w.as_tensor())
@@ -156,8 +193,8 @@ class DenseBlock(Module):
     touch an earlier prefix.
     """
 
-    def __init__(self, name, in_c, num_layers, growth, rng, bottleneck=False,
-                 dilation=1, keep_prob=1.0):
+    def __init__(self, name, in_c, num_layers, growth, init,
+                 bottleneck=False, dilation=1, keep_prob=1.0):
         if num_layers < 1:
             raise ConfigError(f"DenseBlock {name}: num_layers={num_layers}")
         self.layers = []
@@ -167,9 +204,9 @@ class DenseBlock(Module):
             if bottleneck:
                 width = 4 * growth
                 steps.append(BnActConv(f"{name}.layer{i}.squeeze", c, width,
-                                       1, rng, keep_prob=keep_prob))
+                                       1, init, keep_prob=keep_prob))
             steps.append(BnActConv(f"{name}.layer{i}.grow", width, growth, 3,
-                                   rng, dilation=dilation,
+                                   init, dilation=dilation,
                                    keep_prob=keep_prob))
             self.layers.append(steps)
             c += growth
@@ -200,8 +237,8 @@ class TransitionDown(Module):
     """Between-stage transition: BN-ReLU-1x1 conv, then optional 2x2 mean
     pool (stages that dilate instead keep their resolution)."""
 
-    def __init__(self, name, in_c, out_c, rng, pool=True):
-        self.proj = BnActConv(f"{name}.proj", in_c, out_c, 1, rng)
+    def __init__(self, name, in_c, out_c, init, pool=True):
+        self.proj = BnActConv(f"{name}.proj", in_c, out_c, 1, init)
         self.pool = pool
 
     def __call__(self, x, training=False, rng=None):

@@ -26,7 +26,7 @@ import numpy as np
 from .data import IGNORE_INDEX, pad_to_multiple
 from .errors import ConfigError, DataError, UsageError
 from .layers import BnActConv, BnRelu, ConvLayer, DenseBlock, \
-    Module, TransitionDown, UpsampleLayer
+    Module, TransitionDown, UpsampleLayer, WeightStream
 from .ops import bilinear_resize, ce_targets, eltwise_add, maxpool2d, \
     resize_bilinear_array, softmax_ce_loss, softmax_probs
 from .tensor import Tensor, no_grad
@@ -117,9 +117,9 @@ class DenseEncoder(Module):
     1/8 for use as skips.
     """
 
-    def __init__(self, name, p, rng):
+    def __init__(self, name, p, init):
         c = p.stem_channels
-        self.stem = ConvLayer(f"{name}.stem", 3, c, p.stem_kernel, rng,
+        self.stem = ConvLayer(f"{name}.stem", 3, c, p.stem_kernel, init,
                               stride=2)
         self.stem_bn = BnRelu(f"{name}.stem_bn", c)
         self.stem_pool = p.stem_pool
@@ -129,7 +129,7 @@ class DenseEncoder(Module):
         for i, depth in enumerate(p.block_layers):
             last = i == n_stages - 1
             block = DenseBlock(f"{name}.block{i + 1}", c, depth, p.growth,
-                               rng, bottleneck=p.bottleneck,
+                               init, bottleneck=p.bottleneck,
                                dilation=2 if last else 1)
             c = block.out_channels
             if i in SKIP_BLOCKS:
@@ -137,7 +137,7 @@ class DenseEncoder(Module):
             trans = None
             if not last:
                 out = c // 2
-                trans = TransitionDown(f"{name}.trans{i + 1}", c, out, rng,
+                trans = TransitionDown(f"{name}.trans{i + 1}", c, out, init,
                                        pool=i < 2)
                 c = out
             self.stages.append((block, trans))
@@ -167,16 +167,16 @@ class Stage(Module):
     features; and compress to ``out_c`` (None keeps the block width: the
     last unit's final stage stays wide)."""
 
-    def __init__(self, name, in_c, skip_c, num_layers, growth, out_c, rng,
+    def __init__(self, name, in_c, skip_c, num_layers, growth, out_c, init,
                  up):
-        self.up = UpsampleLayer(f"{name}.up", in_c, rng) if up else None
+        self.up = UpsampleLayer(f"{name}.up", in_c, init) if up else None
         self.block = DenseBlock(f"{name}.block", in_c + skip_c, num_layers,
-                                growth, rng, keep_prob=KEEP_PROB)
+                                growth, init, keep_prob=KEEP_PROB)
         self.comp = None
         self.out_channels = self.block.out_channels
         if out_c is not None:
             self.comp = BnActConv(f"{name}.comp", self.block.out_channels,
-                                  out_c, 3, rng, bias=True,
+                                  out_c, 3, init, bias=True,
                                   keep_prob=KEEP_PROB)
             self.out_channels = out_c
 
@@ -193,21 +193,21 @@ class StackUnit(Module):
     stack grow to any depth. ``out_channels`` maps each tap ratio to the
     width of that tap."""
 
-    def __init__(self, name, p, rng, descend, last):
+    def __init__(self, name, p, init, descend, last):
         g = p.growth
         self.down1 = self.down2 = None
         if descend:
             self.down1 = Stage(f"{name}.down1", p.up_widths[1],
                                p.up_widths[0], DOWN_LAYERS[0], g,
-                               p.down_widths[0], rng, up=False)
+                               p.down_widths[0], init, up=False)
             self.down2 = Stage(f"{name}.down2", p.down_widths[0],
                                p.entry_width, DOWN_LAYERS[1], g,
-                               p.down_widths[1], rng, up=False)
+                               p.down_widths[1], init, up=False)
         self.up1 = Stage(f"{name}.up1", p.entry_width, p.skip_width,
-                         UP_LAYERS[0], g, p.up_widths[0], rng, up=True)
+                         UP_LAYERS[0], g, p.up_widths[0], init, up=True)
         self.up2 = Stage(f"{name}.up2", p.up_widths[0], p.skip_width,
                          UP_LAYERS[1], g, None if last else p.up_widths[1],
-                         rng, up=True)
+                         init, up=True)
         self.out_channels = {16: p.entry_width, 8: self.up1.out_channels,
                              4: self.up2.out_channels}
 
@@ -239,21 +239,23 @@ class StackedNet(Module):
         self.config = config
         p = config.profile
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.encoder = DenseEncoder("encoder", p, rng)
+        init = WeightStream(rng)
+        self.encoder = DenseEncoder("encoder", p, init)
         self.skip4 = BnActConv("skip4", self.encoder.skip_channels[4],
-                               p.skip_width, 3, rng)
+                               p.skip_width, 3, init)
         self.skip8 = BnActConv("skip8", self.encoder.skip_channels[8],
-                               p.skip_width, 3, rng)
+                               p.skip_width, 3, init)
         # encoder output is already BN+ReLU normalized; a bare conv suffices
         self.entry = ConvLayer("entry", self.encoder.out_channels,
-                               p.entry_width, 3, rng, bias=True)
-        self.units = [StackUnit(f"unit{i + 1}", p, rng,
+                               p.entry_width, 3, init, bias=True)
+        self.units = [StackUnit(f"unit{i + 1}", p, init,
                                 descend=i > 0,
                                 last=i == config.num_units - 1)
                       for i in range(config.num_units)]
         self.heads = {(i, r): ConvLayer(f"unit{i + 1}.head{r}",
                                         unit.out_channels[r],
-                                        config.num_classes, 3, rng, bias=True)
+                                        config.num_classes, 3, init,
+                                        bias=True)
                       for i, unit in enumerate(self.units)
                       for r in config.supervision_ratios}
 
@@ -277,8 +279,16 @@ class StackedNet(Module):
         return state
 
     def load_state(self, state):
-        """Copy values in place; names and shapes must match exactly."""
-        own = self.state_dict()
+        """Set every parameter and running statistic from ``state``.
+
+        Names and shapes must match exactly, and nothing is set unless they
+        all do. A parameter still pending its He-normal draw takes a
+        float32 copy and is never drawn; one already drawn, and every
+        running statistic, is copied into in place.
+        """
+        params = {p.name: p for p in self.params()}
+        buffers = dict(self.buffers())
+        own = {**params, **buffers}  # Params and arrays: both have a shape
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))
         if missing or extra:
@@ -286,11 +296,16 @@ class StackedNet(Module):
                 f"state mismatch: missing {missing[:3]}{'...' if len(missing) > 3 else ''}, "
                 f"unexpected {extra[:3]}{'...' if len(extra) > 3 else ''}")
         for name, dst in own.items():
-            src = state[name]
-            if src.shape != dst.shape:
-                raise DataError(f"{name}: stored shape {src.shape} != "
-                                f"model shape {dst.shape}")
-            np.copyto(dst, src)
+            if state[name].shape != dst.shape:
+                raise DataError(f"{name}: stored shape {state[name].shape} "
+                                f"!= model shape {dst.shape}")
+        for name, p in params.items():
+            if p.pending:
+                p.value = np.array(state[name], dtype=np.float32)
+            else:
+                np.copyto(p.value, state[name])
+        for name, b in buffers.items():
+            np.copyto(b, state[name])
 
     # -- forward / losses / prediction -------------------------------------
 

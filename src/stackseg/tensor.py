@@ -19,6 +19,7 @@ between optimizer steps.
 from __future__ import annotations
 
 import contextlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,28 +178,68 @@ def backward(loss_nodes):
 class Param:
     """A trainable value with its gradient and momentum.
 
+    ``value`` is an array, or an :class:`Owed` promise of one: a Param
+    built from ``Owed(source, shape)`` knows its ``shape`` and is
+    ``pending`` until ``value`` is first read, which calls
+    ``source.fill()``; that must set ``value`` (see
+    :class:`stackseg.layers.WeightStream`). Assigning ``value`` settles a
+    pending Param without calling its source.
+
     ``grad`` is None until :func:`backward` reaches the parameter; it then
     holds the gradient summed over every backward since the last
     :func:`stackseg.trainer.sgd_step`, which consumes it and sets it back
     to None. ``momentum`` is None until the first step that updates the
-    parameter. Neither is allocated before it is needed, so building a
-    large network for inspection does not triple its memory footprint.
+    parameter. None of the three is allocated before it is needed: a
+    network whose weights are loaded draws no random ones, and one built
+    only to count its parameters (``analyzer.count_network_params`` reads
+    ``shape``) draws none either.
     ``decay_exempt`` marks parameters excluded from weight decay (BN
     affine terms and biases).
     """
 
-    __slots__ = ("name", "value", "grad", "momentum", "decay_exempt")
+    # ``__weakref__``: a source refers to the Params it owes weakly, so
+    # that no Param and its source form a reference cycle
+    __slots__ = ("name", "grad", "momentum", "decay_exempt", "_value",
+                 "_owed", "__weakref__")
 
     def __init__(self, value, name="", decay_exempt=False):
-        self.value = np.asarray(value)
+        if isinstance(value, Owed):
+            self._value, self._owed = None, value
+        else:
+            self._value, self._owed = np.asarray(value), None
         self.name = name
         self.decay_exempt = decay_exempt
         self.grad = None
         self.momentum = None
+
+    @property
+    def value(self):
+        if self._value is None:
+            self._owed.source.fill()
+        return self._value
+
+    @value.setter
+    def value(self, value):
+        self._value, self._owed = value, None
+
+    @property
+    def pending(self):
+        """True until the value is first read or assigned."""
+        return self._value is None
+
+    @property
+    def shape(self):
+        return self._owed.shape if self.pending else self._value.shape
 
     def as_tensor(self):
         """Wrap the current value as a graph leaf that collects gradient."""
         return Tensor(self.value, op="param", param=self)
 
     def __repr__(self):
-        return f"Param({self.name!r}, shape={self.value.shape})"
+        return f"Param({self.name!r}, shape={self.shape})"
+
+
+class Owed(NamedTuple):
+    """The value of a pending :class:`Param`: ``source.fill()`` sets it."""
+    source: object
+    shape: tuple

@@ -51,16 +51,22 @@ def save_weights(path, state):
         raise
 
 
-def _read_exactly(f, n, left, path, what):
-    """Read n bytes, first checking n against the bytes left in the file
-    so a corrupt length fails before anything that size is allocated."""
+def _take(n, left, path, what):
+    """``left`` less n, the bytes left in the file after n more are read.
+    Checking n against them first makes a corrupt length fail before
+    anything that size is allocated."""
     if n > left:
         raise DataError(f"{path}: truncated while reading {what} "
                         f"({n} bytes declared, {left} left)")
+    return left - n
+
+
+def _read_exactly(f, n, left, path, what):
+    left = _take(n, left, path, what)
     raw = f.read(n)
     if len(raw) != n:
         raise DataError(f"{path}: truncated while reading {what}")
-    return raw, left - n
+    return raw, left
 
 
 def load_weights(path):
@@ -90,12 +96,15 @@ def load_weights(path):
             raw, left = _read_exactly(f, 4 * rank, left, path, "dims")
             dims = struct.unpack(f"<{rank}I", raw)
             n_bytes = 4 * math.prod(dims)  # Python ints: cannot overflow
-            raw, left = _read_exactly(f, n_bytes, left, path,
-                                      f"payload of {name!r}")
+            what = f"payload of {name!r}"
+            left = _take(n_bytes, left, path, what)
             try:  # numpy refuses shapes like (2**32-1,)*3 + (0,)
-                state[name] = np.frombuffer(raw, "<f4").reshape(dims).copy()
+                value = np.empty(dims, "<f4")
             except ValueError:
                 raise DataError(f"{path}: {name!r} has unusable shape {dims}")
+            if f.readinto(value) != n_bytes:
+                raise DataError(f"{path}: truncated while reading {what}")
+            state[name] = value
         if f.read(1):
             raise DataError(f"{path}: trailing bytes after {count} tensors")
     return state

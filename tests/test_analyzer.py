@@ -13,7 +13,7 @@ from stackseg.analyzer import (
     format_report,
     receptive_field,
 )
-from stackseg.layers import ConvLayer
+from stackseg.layers import ConvLayer, WeightStream
 from stackseg.network import (
     PROFILES,
     DenseEncoder,
@@ -66,7 +66,8 @@ def test_full_encoder_accounting():
 
 def test_full_encoder_built_matches_closed_form():
     params, out_c, _, _, _ = encoder_accounting(PROFILES["full"])
-    enc = DenseEncoder("enc", PROFILES["full"], np.random.default_rng(0))
+    enc = DenseEncoder("enc", PROFILES["full"],
+                       WeightStream(np.random.default_rng(0)))
     assert sum(p.value.size for p in enc.params()) == params
     assert enc.out_channels == out_c
 
@@ -169,5 +170,6 @@ def test_sections_are_disjoint_and_cover_everything():
 
 
 def test_conv_param_count_primitive():
-    layer = ConvLayer("c", 4, 6, 3, np.random.default_rng(0), bias=True)
+    layer = ConvLayer("c", 4, 6, 3, WeightStream(np.random.default_rng(0)),
+                      bias=True)
     assert sum(p.value.size for p in layer.params()) == 4 * 6 * 9 + 6

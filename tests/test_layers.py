@@ -12,6 +12,7 @@ from stackseg.layers import (
     Module,
     TransitionDown,
     UpsampleLayer,
+    WeightStream,
     avg_pool_half,
     he_normal,
 )
@@ -36,15 +37,15 @@ def test_avg_pool_half_matches_block_means():
 
 
 def test_conv_layer_same_padding_and_bias():
-    rng = np.random.default_rng(2)
-    layer = ConvLayer("c", 3, 8, 3, rng, bias=True)
+    init = WeightStream(np.random.default_rng(2))
+    layer = ConvLayer("c", 3, 8, 3, init, bias=True)
     out = layer(Tensor(np.zeros((1, 3, 10, 12), dtype=np.float32)))
     assert out.shape == (1, 8, 10, 12)
     assert layer.w.value.shape == (8, 3, 3, 3)
     assert layer.b.decay_exempt and not layer.w.decay_exempt
     assert [p.name for p in layer.params()] == ["c.w", "c.b"]
 
-    dilated = ConvLayer("d", 3, 4, 3, rng, dilation=2)
+    dilated = ConvLayer("d", 3, 4, 3, init, dilation=2)
     assert dilated(Tensor(np.zeros((1, 3, 9, 9), dtype=np.float32))).shape \
         == (1, 4, 9, 9)
     assert dilated.params() == [dilated.w]
@@ -70,8 +71,8 @@ def test_batch_norm_layer_param_and_buffer_names():
 def test_walk_descends_into_dicts_in_insertion_order():
     class Holder(Module):
         def __init__(self):
-            rng = np.random.default_rng(0)
-            self.head = {"z": ConvLayer("z", 2, 3, 1, rng),
+            init = WeightStream(np.random.default_rng(0))
+            self.head = {"z": ConvLayer("z", 2, 3, 1, init),
                          "a": [BnRelu("a", 3)]}
 
     holder = Holder()
@@ -82,8 +83,8 @@ def test_walk_descends_into_dicts_in_insertion_order():
 
 
 def test_bn_act_conv_composition():
-    rng = np.random.default_rng(3)
-    unit = BnActConv("u", 4, 6, 3, rng, keep_prob=0.5)
+    init = WeightStream(np.random.default_rng(3))
+    unit = BnActConv("u", 4, 6, 3, init, keep_prob=0.5)
     x = Tensor(np.random.default_rng(1).standard_normal((2, 4, 8, 8))
                .astype(np.float32))
     out = unit(x, training=True, rng=np.random.default_rng(7))
@@ -96,8 +97,8 @@ def test_bn_act_conv_composition():
 
 
 def test_upsample_layer_doubles():
-    rng = np.random.default_rng(4)
-    up = UpsampleLayer("up", 6, rng)
+    init = WeightStream(np.random.default_rng(4))
+    up = UpsampleLayer("up", 6, init)
     out = up(Tensor(np.zeros((1, 6, 5, 7), dtype=np.float32)))
     assert out.shape == (1, 6, 10, 14)
     assert up.w.value.shape == (6, 6, 4, 4)
@@ -105,8 +106,8 @@ def test_upsample_layer_doubles():
 
 @pytest.mark.parametrize("bottleneck", [False, True])
 def test_dense_block_growth(bottleneck):
-    rng = np.random.default_rng(5)
-    block = DenseBlock("b", 10, 3, 4, rng, bottleneck=bottleneck)
+    init = WeightStream(np.random.default_rng(5))
+    block = DenseBlock("b", 10, 3, 4, init, bottleneck=bottleneck)
     assert block.out_channels == 22
     x = Tensor(np.random.default_rng(2).standard_normal((1, 10, 8, 8))
                .astype(np.float32))
@@ -119,7 +120,7 @@ def test_dense_block_growth(bottleneck):
     if bottleneck:
         assert block.layers[0][0].conv.w.value.shape == (16, 10, 1, 1)
     with pytest.raises(ConfigError):
-        DenseBlock("bad", 10, 0, 4, rng)
+        DenseBlock("bad", 10, 0, 4, init)
 
 
 def concat_block(block, x, training, rng):
@@ -138,7 +139,7 @@ def test_dense_block_shares_one_buffer_and_equals_plain_concat(bottleneck):
     feature and its lateral input): every concatenation is a view of the
     block's one buffer, and values and gradients are bitwise those of
     copying concatenations."""
-    block = DenseBlock("b", 5, 4, 3, np.random.default_rng(9),
+    block = DenseBlock("b", 5, 4, 3, WeightStream(np.random.default_rng(9)),
                        bottleneck=bottleneck, keep_prob=0.8)
     data = np.random.default_rng(10).standard_normal((2, 5, 6, 6)) \
         .astype(np.float32)
@@ -171,24 +172,24 @@ def test_dense_block_shares_one_buffer_and_equals_plain_concat(bottleneck):
 
 
 def test_dense_block_dilation_keeps_size():
-    rng = np.random.default_rng(6)
-    block = DenseBlock("b", 4, 2, 4, rng, dilation=2)
+    init = WeightStream(np.random.default_rng(6))
+    block = DenseBlock("b", 4, 2, 4, init, dilation=2)
     out = block([Tensor(np.zeros((1, 4, 9, 9), dtype=np.float32))])
     assert out.shape == (1, 12, 9, 9)
 
 
 def test_transition_down_pool_and_no_pool():
-    rng = np.random.default_rng(7)
+    init = WeightStream(np.random.default_rng(7))
     x = Tensor(np.random.default_rng(3).standard_normal((1, 8, 6, 6))
                .astype(np.float32))
-    pooled = TransitionDown("t", 8, 4, rng, pool=True)(x)
+    pooled = TransitionDown("t", 8, 4, init, pool=True)(x)
     assert pooled.shape == (1, 4, 3, 3)
-    kept = TransitionDown("t2", 8, 4, rng, pool=False)(x)
+    kept = TransitionDown("t2", 8, 4, init, pool=False)(x)
     assert kept.shape == (1, 4, 6, 6)
 
 
 def test_param_names_unique_within_block():
-    rng = np.random.default_rng(8)
-    block = DenseBlock("blk", 6, 4, 3, rng, bottleneck=True)
+    init = WeightStream(np.random.default_rng(8))
+    block = DenseBlock("blk", 6, 4, 3, init, bottleneck=True)
     names = [p.name for p in block.params()]
     assert len(names) == len(set(names))

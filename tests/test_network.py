@@ -1,5 +1,9 @@
 import dataclasses
+import gc
+import hashlib
+import math
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -7,7 +11,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from stackseg import ConfigError, DataError, Tensor, UsageError, backward
+from stackseg import layers
+from stackseg.analyzer import architecture_report, count_network_params
 from stackseg.data import pad_to_multiple
+from stackseg.layers import he_normal
 from stackseg.network import (
     MS_SCALES,
     PROFILES,
@@ -357,6 +364,108 @@ def test_load_state_rejects_mismatches(tmp_path):
     wrong["entry.w"] = np.zeros((1, 2, 3, 3), dtype=np.float32)
     with pytest.raises(DataError):
         net.load_state(wrong)
+
+
+def _state_hash(state):
+    h = hashlib.blake2b(digest_size=8)
+    for name in sorted(state):
+        value = np.asarray(state[name])
+        h.update(f"{name} {value.dtype} {value.shape};".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("units,seed,digest", [
+    (1, 0, "c1db6434e22e6407"), (1, 5, "797e3160fb1e29d4"),
+    (2, 0, "a5f0acd3f989be17"), (2, 5, "3b9f30eaa30ee2d8"),
+])
+def test_fresh_state_dict_is_pinned(units, seed, digest):
+    # taken when every weight was drawn at construction: deferring the
+    # draws to the first read must not change a bit
+    net = StackedNet(mini_config(3, num_units=units), seed=seed)
+    assert _state_hash(net.state_dict()) == digest
+
+
+def test_weights_equal_draws_at_construction_in_param_order():
+    net = StackedNet(mini_config(3, num_units=2), seed=5)
+    rng = np.random.default_rng(np.random.SeedSequence(5))
+    drawn = [p for p in net.params() if len(p.shape) == 4]
+    assert len(drawn) == 41  # every conv and deconv weight, heads included
+    for p in drawn:
+        shape = p.shape
+        want = he_normal(rng, shape, math.prod(shape[1:]))
+        assert p.value.dtype == want.dtype and np.array_equal(p.value, want)
+
+
+def _count_draws(monkeypatch):
+    calls = []
+    real = layers.he_normal
+
+    def spy(rng, shape, fan_in):
+        calls.append(shape)
+        return real(rng, shape, fan_in)
+
+    monkeypatch.setattr(layers, "he_normal", spy)
+    return calls
+
+
+def test_a_loaded_network_draws_no_weights(monkeypatch):
+    state = StackedNet(mini_config(3, num_units=2), seed=1).state_dict()
+    calls = _count_draws(monkeypatch)
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    pending = [p for p in net.params() if p.pending]
+    assert len(pending) == 41  # every conv and deconv weight
+    wrong = dict(state, **{"entry.w": np.zeros((1, 2, 3, 3), np.float32)})
+    with pytest.raises(DataError, match="entry.w"):
+        net.load_state(wrong)
+    assert all(p.pending for p in pending)  # a refused load sets none
+    assert count_network_params(net) == \
+        architecture_report(net.config).params_by_section
+    repr(net.entry.w)
+    net.load_state(state)
+    image = small_input()[0]
+    net.predict_logits(image[None])
+    predict_ms_flip(net, image)
+    assert calls == []
+    assert _state_hash(net.state_dict()) == _state_hash(state)
+    # the network holds copies: changing the loaded dict changes nothing
+    state["entry.w"][:] = 0
+    assert np.any(net.entry.w.value)
+
+
+def test_a_weight_read_before_load_state_is_drawn_then_copied_over(
+        monkeypatch):
+    state = StackedNet(mini_config(3, num_units=2), seed=1).state_dict()
+    calls = _count_draws(monkeypatch)
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    early = net.heads[(1, 4)].w.value
+    # one read draws every weight at once, each bitwise as before
+    assert len(calls) == 41 and not any(p.pending for p in net.params())
+    assert _state_hash(net.state_dict()) == "a5f0acd3f989be17"
+    net.load_state(state)
+    assert len(calls) == 41
+    assert net.heads[(1, 4)].w.value is early  # copied in place
+    assert np.array_equal(early, state["unit2.head4.w"])
+    assert _state_hash(net.state_dict()) == _state_hash(state)
+
+
+@pytest.mark.parametrize("use", [
+    lambda net, state: None,
+    lambda net, state: net.load_state(state),
+    lambda net, state: net.entry.w.value,
+    lambda net, state: net.predict_logits(small_input()),
+], ids=["built", "loaded", "read", "predicted"])
+def test_a_network_is_freed_without_the_cycle_collector(use):
+    state = StackedNet(mini_config(3, num_units=2), seed=1).state_dict()
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    use(net, state)
+    refs = [weakref.ref(obj) for obj in (net, *net.params())]
+    gc.disable()
+    try:
+        del net
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("make,units,ratios", [
