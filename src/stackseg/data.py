@@ -9,9 +9,16 @@ maps (binary PGM), with 255 reserved for ignored pixels.
 A manifest is a text file of ``key = value`` header lines followed by one
 ``image<TAB>label`` row per sample (the label column may be omitted for
 unlabeled data); paths are relative to the manifest's directory.
+
+:class:`BoundedReader` is the one place a read of an untrusted file is
+bounded: every length a PPM/PGM, manifest or SDNW checkpoint
+(``weights_io``) declares is checked against the bytes the file has left
+before anything that size is read or allocated, so a corrupt or endless
+file fails with :class:`DataError`.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -21,6 +28,49 @@ from .errors import DataError
 
 IGNORE_INDEX = 255
 _PNM_FIELD_DIGITS = 9  # longest header number read; larger is corrupt
+_U8 = np.dtype(np.uint8)
+
+
+class BoundedReader:
+    """Reads a binary file no further than the size ``fstat`` gives for it,
+    taken once, when the reader is made at the file's current position.
+
+    :meth:`read` and :meth:`array` check each declared length against the
+    bytes left before anything is read or allocated; a length beyond them,
+    or a file that ends early, raises :class:`DataError` naming ``what``
+    was being read.
+    """
+
+    def __init__(self, f, path):
+        self.f, self.path = f, path
+        self.left = os.fstat(f.fileno()).st_size - f.tell()
+
+    def _take(self, n, what):
+        if n > self.left:
+            raise DataError(f"{self.path}: truncated while reading {what} "
+                            f"({n} bytes declared, {self.left} left)")
+        self.left -= n
+
+    def read(self, n, what):
+        """The next ``n`` bytes."""
+        self._take(n, what)
+        raw = self.f.read(n)
+        if len(raw) != n:  # the file shrank, or is not a regular file
+            raise DataError(f"{self.path}: truncated while reading {what}")
+        return raw
+
+    def array(self, shape, dtype, what):
+        """A writable C-order array of ``shape`` filled in place from the
+        next bytes; ``dtype`` is an ``np.dtype``."""
+        n = dtype.itemsize * math.prod(shape)  # Python ints: cannot overflow
+        self._take(n, what)
+        try:  # numpy refuses shapes like (2**32-1,)*3 + (0,)
+            out = np.empty(shape, dtype)
+        except ValueError:
+            raise DataError(f"{self.path}: {what} has unusable shape {shape}")
+        if self.f.readinto(out) != n:
+            raise DataError(f"{self.path}: truncated while reading {what}")
+        return out
 
 
 @dataclass
@@ -79,18 +129,8 @@ def _read_pnm(path, magic, channels):
             raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
         if w < 1 or h < 1:
             raise DataError(f"{path}: bad image size {w}x{h}")
-        # bound the read by the file, so a corrupt size allocates nothing
-        n_bytes = w * h * channels
-        left = os.fstat(f.fileno()).st_size - f.tell()
-        if n_bytes > left:
-            raise DataError(f"{path}: truncated pixel data "
-                            f"({left} of {n_bytes} bytes)")
-        pixels = np.empty((h, w, channels), dtype=np.uint8)  # writable
-        got = f.readinto(pixels)
-    if got != n_bytes:
-        raise DataError(f"{path}: truncated pixel data "
-                        f"({got} of {n_bytes} bytes)")
-    return pixels
+        return BoundedReader(f, path).array((h, w, channels), _U8,
+                                            "pixel data")
 
 
 def _read_ppm_pixels(path):
@@ -149,12 +189,15 @@ def parse_manifest(path):
     """Returns (meta dict, [(image_path, label_path_or_None), ...]).
 
     The file must be UTF-8 text without NUL bytes; anything else is a
-    :class:`DataError` naming the line.
+    :class:`DataError` naming the line. It is read up to the size the
+    system reports for it, so one that is not a regular file, such as
+    ``/dev/zero`` (size 0), reads as empty.
     """
     meta = {}
     rows = []
     with open(path, "rb") as f:
-        raw = f.read()
+        text = BoundedReader(f, path)
+        raw = text.read(text.left, "manifest")
     for lineno, line in enumerate(raw.splitlines(), 1):
         try:
             line = line.decode("utf-8").strip()

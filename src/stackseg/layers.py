@@ -17,6 +17,7 @@ Parameter names are dotted paths rooted at the owning network.
 """
 from __future__ import annotations
 
+import math
 import weakref
 
 import numpy as np
@@ -55,17 +56,18 @@ class WeightStream:
 
     def __init__(self, rng):
         self._rng = rng
-        self._owed = []  # (weak reference to the Param, shape, fan_in)
+        self._owed = []  # (weak reference to the Param, shape)
 
-    def param(self, name, shape, fan_in):
+    def param(self, name, shape):
+        """A pending (out, in, kh, kw) weight; its fan-in is in·kh·kw."""
         p = Param(Owed(self, shape), name)
-        self._owed.append((weakref.ref(p), shape, fan_in))
+        self._owed.append((weakref.ref(p), shape))
         return p
 
     def fill(self):
         owed, self._owed = self._owed, []
-        for ref, shape, fan_in in owed:
-            value = he_normal(self._rng, shape, fan_in)
+        for ref, shape in owed:
+            value = he_normal(self._rng, shape, math.prod(shape[1:]))
             p = ref()
             if p is not None and p.pending:
                 p.value = value
@@ -114,8 +116,7 @@ class ConvLayer(Module):
                  bias=False):
         self.stride, self.dilation = stride, dilation
         self.pad = dilation * (kernel - 1) // 2
-        self.w = init.param(f"{name}.w", (out_c, in_c, kernel, kernel),
-                            in_c * kernel * kernel)
+        self.w = init.param(f"{name}.w", (out_c, in_c, kernel, kernel))
         self.b = None
         if bias:
             self.b = Param(np.zeros(out_c, dtype=np.float32), f"{name}.b",
@@ -167,7 +168,7 @@ class UpsampleLayer(Module):
 
     def __init__(self, name, c, init):
         self.bn = BnRelu(f"{name}.bn", c)
-        self.w = init.param(f"{name}.w", (c, c, 4, 4), c * 4 * 4)
+        self.w = init.param(f"{name}.w", (c, c, 4, 4))
 
     def __call__(self, x, training=False):
         return deconv2d(self.bn(x, training), self.w.as_tensor())

@@ -223,10 +223,18 @@ class StackUnit(Module):
         return {16: d, 8: u1, 4: self.up2(u1, skips[4], training, rng)}
 
 
-def _check_batch(shape):
-    if len(shape) != 4 or shape[1] != 3 or not shape[0]:
+def _check_floating(dtype):
+    if not np.issubdtype(dtype, np.floating):
+        raise DataError(f"image dtype {dtype} is not floating; "
+                        "scale it to [0, 1] floats as read_ppm does")
+
+
+def _check_batch(x):
+    """A batch is a floating (n, 3, h, w) array or Tensor with n >= 1."""
+    if len(x.shape) != 4 or x.shape[1] != 3 or not x.shape[0]:
         raise ConfigError(f"expected (n, 3, h, w) input with n >= 1, "
-                          f"got {shape}")
+                          f"got {x.shape}")
+    _check_floating(x.dtype)
 
 
 class StackedNet(Module):
@@ -323,7 +331,7 @@ class StackedNet(Module):
                               f"of {self.config.supervision_ratios}")
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x))
-        _check_batch(x.shape)
+        _check_batch(x)
         n, _, h, w = x.shape
         if h % SIZE_MULTIPLE or w % SIZE_MULTIPLE:
             raise ConfigError(
@@ -378,7 +386,7 @@ class StackedNet(Module):
         ``evaluate`` and ``stackseg infer`` need, and the labels are
         cropped back."""
         x = np.asarray(x)
-        _check_batch(x.shape)
+        _check_batch(x)
         h, w = x.shape[2:]
         padded = np.stack([pad_to_multiple(im, SIZE_MULTIPLE) for im in x])
         return _labels(self.predict_logits(padded)[:, :, :h, :w], axis=1)
@@ -471,9 +479,7 @@ def predict_ms_flip(net, image, scales=MS_SCALES, mirror=True,
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != 3:
         raise DataError(f"expected (3, h, w) image, got {image.shape}")
-    if not np.issubdtype(image.dtype, np.floating):
-        raise DataError(f"image dtype {image.dtype} is not floating; "
-                        "scale it to [0, 1] floats as read_ppm does")
+    _check_floating(image.dtype)
     h, w = image.shape[1:]
     fill = image.mean(axis=(1, 2))
     sizes = []

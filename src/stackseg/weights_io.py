@@ -4,20 +4,26 @@ Little-endian layout: magic ``SDNW``, version u32, tensor count u32; then
 per tensor a u32 name length, the UTF-8 name, u32 rank, u32 dims, and the
 raw float32 payload in C order. Entries are written in sorted name order
 so identical states produce identical files.
+
+This module keeps only that layout: every length the reader meets is bounded
+by the file's size through :class:`stackseg.data.BoundedReader`, which owns
+that check for every untrusted file the package reads.
 """
 from __future__ import annotations
 
-import math
 import os
 import secrets
 import struct
 
 import numpy as np
 
+from .data import BoundedReader
 from .errors import DataError
 
 MAGIC = b"SDNW"
 VERSION = 1
+_U32 = struct.Struct("<I")
+_F32 = np.dtype("<f4")
 
 
 def save_weights(path, state):
@@ -51,60 +57,28 @@ def save_weights(path, state):
         raise
 
 
-def _take(n, left, path, what):
-    """``left`` less n, the bytes left in the file after n more are read.
-    Checking n against them first makes a corrupt length fail before
-    anything that size is allocated."""
-    if n > left:
-        raise DataError(f"{path}: truncated while reading {what} "
-                        f"({n} bytes declared, {left} left)")
-    return left - n
-
-
-def _read_exactly(f, n, left, path, what):
-    left = _take(n, left, path, what)
-    raw = f.read(n)
-    if len(raw) != n:
-        raise DataError(f"{path}: truncated while reading {what}")
-    return raw, left
-
-
 def load_weights(path):
     """Read a container back into a name -> float32 ndarray dict."""
     state = {}
     with open(path, "rb") as f:
-        left = os.fstat(f.fileno()).st_size
-        magic, left = f.read(4), left - 4
+        magic = f.read(4)
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        raw, left = _read_exactly(f, 8, left, path, "header")
-        version, count = struct.unpack("<II", raw)
+        r = BoundedReader(f, path)
+        version, count = struct.unpack("<II", r.read(8, "header"))
         if version != VERSION:
             raise DataError(f"{path}: unsupported version {version}")
         for i in range(count):
-            raw, left = _read_exactly(f, 4, left, path, "name length")
-            (name_len,) = struct.unpack("<I", raw)
-            raw, left = _read_exactly(f, name_len, left, path, "name")
+            (name_len,) = _U32.unpack(r.read(4, "name length"))
             try:
-                name = raw.decode("utf-8")
+                name = r.read(name_len, "name").decode("utf-8")
             except UnicodeDecodeError:
                 raise DataError(f"{path}: tensor {i} name is not UTF-8")
             if name in state:
                 raise DataError(f"{path}: duplicate tensor {name!r}")
-            raw, left = _read_exactly(f, 4, left, path, "rank")
-            (rank,) = struct.unpack("<I", raw)
-            raw, left = _read_exactly(f, 4 * rank, left, path, "dims")
-            dims = struct.unpack(f"<{rank}I", raw)
-            n_bytes = 4 * math.prod(dims)  # Python ints: cannot overflow
-            what = f"payload of {name!r}"
-            left = _take(n_bytes, left, path, what)
-            try:  # numpy refuses shapes like (2**32-1,)*3 + (0,)
-                value = np.empty(dims, "<f4")
-            except ValueError:
-                raise DataError(f"{path}: {name!r} has unusable shape {dims}")
-            if f.readinto(value) != n_bytes:
-                raise DataError(f"{path}: truncated while reading {what}")
-            state[name] = value
+            (rank,) = _U32.unpack(r.read(4, "rank"))
+            dims = struct.unpack(f"<{rank}I", r.read(4 * rank, "dims"))
+            state[name] = r.array(dims, _F32, f"payload of {name!r}")
         if f.read(1):
             raise DataError(f"{path}: trailing bytes after {count} tensors")
     return state

@@ -415,7 +415,7 @@ def test_eval_rejects_corrupt_prediction_map(workspace, tmp_path, capsys):
         b"P5\n100000 100000\n255\n" + bytes(10))
     assert run(["eval", "--data", str(workspace / "data" / "manifest.txt"),
                 "--pred", str(preds)]) == 1
-    assert "truncated pixel data" in capsys.readouterr().err
+    assert "truncated while reading pixel data" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -584,6 +584,19 @@ def test_ms_flip_refuses_integer_images(dtype):
 
 
 @pytest.mark.parametrize("predict", [
+    lambda net, x: net.predict(x),
+    lambda net, x: net.predict_logits(x),
+], ids=["predict", "predict_logits"])
+def test_prediction_refuses_integer_batches(predict):
+    # a uint8 batch's 0-255 values used to be scored as they were: on this
+    # input a fresh net's logits came out ~530 away from the float image's
+    net = StackedNet(mini_config(3, num_units=2), seed=0)
+    x = (small_input() * 255).astype(np.uint8)
+    with pytest.raises(DataError, match="uint8 is not floating"):
+        predict(net, x)
+
+
+@pytest.mark.parametrize("predict", [
     lambda net, image: net.predict(image[None]),
     lambda net, image: predict_ms_flip(net, image),
 ], ids=["plain", "ms_flip"])
