@@ -45,7 +45,7 @@ class BoundedReader:
         self.f, self.path = f, path
         self.left = os.fstat(f.fileno()).st_size - f.tell()
 
-    def _take(self, n, what):
+    def _claim(self, n, what):
         if n > self.left:
             raise DataError(f"{self.path}: truncated while reading {what} "
                             f"({n} bytes declared, {self.left} left)")
@@ -53,7 +53,7 @@ class BoundedReader:
 
     def read(self, n, what):
         """The next ``n`` bytes."""
-        self._take(n, what)
+        self._claim(n, what)
         raw = self.f.read(n)
         if len(raw) != n:  # the file shrank, or is not a regular file
             raise DataError(f"{self.path}: truncated while reading {what}")
@@ -63,7 +63,7 @@ class BoundedReader:
         """A writable C-order array of ``shape`` filled in place from the
         next bytes; ``dtype`` is an ``np.dtype``."""
         n = dtype.itemsize * math.prod(shape)  # Python ints: cannot overflow
-        self._take(n, what)
+        self._claim(n, what)
         try:  # numpy refuses shapes like (2**32-1,)*3 + (0,)
             out = np.empty(shape, dtype)
         except ValueError:
@@ -122,14 +122,15 @@ def _read_pnm_header(f, magic, path):
     return fields  # width, height, maxval
 
 
-def _read_pnm(path, magic, channels):
+def _read_pnm(path, magic, *channels):
+    """The file's (h, w, *channels) uint8 pixels, writable and C-order."""
     with open(path, "rb") as f:
         w, h, maxval = _read_pnm_header(f, magic, path)
         if maxval != 255:
             raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
         if w < 1 or h < 1:
             raise DataError(f"{path}: bad image size {w}x{h}")
-        return BoundedReader(f, path).array((h, w, channels), _U8,
+        return BoundedReader(f, path).array((h, w, *channels), _U8,
                                             "pixel data")
 
 
@@ -165,7 +166,7 @@ def write_ppm(path, image):
 def read_pgm(path):
     """(h, w) uint8 label maps and prediction maps, writable and
     C-contiguous."""
-    return _read_pnm(path, b"P5", 1)[:, :, 0]
+    return _read_pnm(path, b"P5")
 
 
 def write_pgm(path, labels):
@@ -196,8 +197,8 @@ def parse_manifest(path):
     meta = {}
     rows = []
     with open(path, "rb") as f:
-        text = BoundedReader(f, path)
-        raw = text.read(text.left, "manifest")
+        r = BoundedReader(f, path)
+        raw = r.read(r.left, "manifest")
     for lineno, line in enumerate(raw.splitlines(), 1):
         try:
             line = line.decode("utf-8").strip()

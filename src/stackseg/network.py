@@ -320,6 +320,10 @@ class StackedNet(Module):
     def forward(self, x, training=False, rng=None, ratios=None):
         """Run the stack; returns {(unit_index, ratio): fused score Tensor}.
 
+        ``x`` is a floating (n, 3, h, w) batch, an array or Tensor; any
+        other dtype raises ``DataError``, since a uint8 image's 0-255
+        values are not the [0, 1] floats the network takes.
+
         ``ratios`` picks which supervision ratios are scored (None: all of
         them). Every unit still computes all its taps, since the next unit
         reads them, but a ratio left out costs no head conv and no add.

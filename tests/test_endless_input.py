@@ -16,7 +16,7 @@ import pytest
 
 import stackseg
 
-resource = pytest.importorskip("resource")
+pytest.importorskip("resource")  # the child caps its address space
 
 CAP = 512 << 20  # bytes of address space: numpy and the package fit in it
 
