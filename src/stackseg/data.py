@@ -10,16 +10,21 @@ A manifest is a text file of ``key = value`` header lines followed by one
 ``image<TAB>label`` row per sample (the label column may be omitted for
 unlabeled data); paths are relative to the manifest's directory.
 
-:class:`BoundedReader` is the one place a read of an untrusted file is
-bounded: every length a PPM/PGM, manifest or SDNW checkpoint
-(``weights_io``) declares is checked against the bytes the file has left
-before anything that size is read or allocated, so a corrupt or endless
-file fails with :class:`DataError`.
+:class:`BoundedReader` opens every untrusted file the package reads (a
+PPM/PGM, manifest or SDNW checkpoint of ``weights_io``), and every byte of
+one is read through it. It reads regular files only, whose size it can
+check: any other file, such as a pipe or ``/dev/zero``, is a
+:class:`DataError`. Every length such a file declares is checked against
+the bytes it has left before anything that size is read or allocated, so
+a corrupt file fails with :class:`DataError`.
 """
 from __future__ import annotations
 
+import io
 import math
 import os
+import re
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +37,36 @@ _U8 = np.dtype(np.uint8)
 
 
 class BoundedReader:
-    """Reads a binary file no further than the size ``fstat`` gives for it,
-    taken once, when the reader is made at the file's current position.
+    """Opens ``path`` as a context manager and reads it no further than
+    the size one ``fstat`` gives for it when it is opened.
 
-    :meth:`read` and :meth:`array` check each declared length against the
-    bytes left before anything is read or allocated; a length beyond them,
-    or a file that ends early, raises :class:`DataError` naming ``what``
-    was being read.
+    Only a regular file is opened for reading: any other kind cannot be
+    sized, and raises :class:`DataError`. :meth:`read` and :meth:`array`
+    check each declared length against the bytes left before anything is
+    read or allocated; a length beyond them, or a file that ends early,
+    raises :class:`DataError` naming ``what`` was being read.
     """
 
-    def __init__(self, f, path):
-        self.f, self.path = f, path
-        self.left = os.fstat(f.fileno()).st_size - f.tell()
+    def __init__(self, path):
+        self.path = path
+
+    def __enter__(self):
+        # os.open, unlike open(), opens a directory too, so that it is
+        # refused here as every other file that is not regular is
+        fd = os.open(self.path, os.O_RDONLY)
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            os.close(fd)
+            raise DataError(f"{self.path}: not a regular file, so its size "
+                            f"cannot be checked")
+        self.left = st.st_size
+        # a fixed buffer size, so that :meth:`peek` sees the same window on
+        # every file system
+        self.f = open(fd, "rb", buffering=io.DEFAULT_BUFFER_SIZE)
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
 
     def _claim(self, n, what):
         if n > self.left:
@@ -55,9 +78,14 @@ class BoundedReader:
         """The next ``n`` bytes."""
         self._claim(n, what)
         raw = self.f.read(n)
-        if len(raw) != n:  # the file shrank, or is not a regular file
+        if len(raw) != n:  # the file shrank since it was opened
             raise DataError(f"{self.path}: truncated while reading {what}")
         return raw
+
+    def peek(self):
+        """The next bytes, no more than ``io.DEFAULT_BUFFER_SIZE`` or the
+        bytes left, not consumed: one buffered read at most."""
+        return self.f.peek()[:min(io.DEFAULT_BUFFER_SIZE, self.left)]
 
     def array(self, shape, dtype, what):
         """A writable C-order array of ``shape`` filled in place from the
@@ -98,40 +126,32 @@ class Sample:
 # PNM files
 
 
-def _read_pnm_header(f, magic, path):
-    got = f.read(2)
-    if got != magic:
-        raise DataError(f"{path}: expected {magic.decode()} file, "
-                        f"found {got!r}")
-    fields = []
-    while len(fields) < 3:
-        tok = b""
-        ch = f.read(1)
-        while ch.isspace():
-            ch = f.read(1)
-        if ch == b"#":  # comment runs to end of line
-            while ch not in (b"\n", b""):
-                ch = f.read(1)
-            continue
-        while ch and not ch.isspace() and len(tok) <= _PNM_FIELD_DIGITS:
-            tok += ch
-            ch = f.read(1)
-        if not tok.isdigit() or len(tok) > _PNM_FIELD_DIGITS:
-            raise DataError(f"{path}: malformed header near {tok!r}")
-        fields.append(int(tok))
-    return fields  # width, height, maxval
+# magic, then width, height and maxval: each field is preceded by any
+# whitespace and whole comment lines, and ended by one whitespace byte.
+# Whitespace runs are single-byte repeats, which keep no backtracking
+# state per byte; each comment line keeps ~220 bytes, so even a peek
+# window full of them stays under 1 MiB.
+_PNM_HEADER = re.compile(rb"P[56]" + 3 * (
+    rb"\s*(?:#[^\n]*\n\s*)*(\d{1,%d})\s" % _PNM_FIELD_DIGITS))
 
 
 def _read_pnm(path, magic, *channels):
     """The file's (h, w, *channels) uint8 pixels, writable and C-order."""
-    with open(path, "rb") as f:
-        w, h, maxval = _read_pnm_header(f, magic, path)
+    with BoundedReader(path) as r:
+        head = r.peek()
+        if head[:2] != magic:
+            raise DataError(f"{path}: expected {magic.decode()} file, "
+                            f"found {head[:2]!r}")
+        m = _PNM_HEADER.match(head)
+        if m is None:  # also a header longer than the peek window
+            raise DataError(f"{path}: malformed header {head[:32]!r}")
+        w, h, maxval = map(int, m.groups())
         if maxval != 255:
             raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
         if w < 1 or h < 1:
             raise DataError(f"{path}: bad image size {w}x{h}")
-        return BoundedReader(f, path).array((h, w, *channels), _U8,
-                                            "pixel data")
+        r.read(m.end(), "header")
+        return r.array((h, w, *channels), _U8, "pixel data")
 
 
 def _read_ppm_pixels(path):
@@ -189,35 +209,33 @@ def write_pgm(path, labels):
 def parse_manifest(path):
     """Returns (meta dict, [(image_path, label_path_or_None), ...]).
 
-    The file must be UTF-8 text without NUL bytes; anything else is a
-    :class:`DataError` naming the line. It is read up to the size the
-    system reports for it, so one that is not a regular file, such as
-    ``/dev/zero`` (size 0), reads as empty.
+    The file must be a regular file of UTF-8 text without NUL bytes,
+    read whole through :class:`BoundedReader`; anything else is a
+    :class:`DataError`, naming the line where there is one. Spaces are
+    stripped from each line's ends, but not TABs: a row whose image
+    column is empty is a bad sample row.
     """
     meta = {}
     rows = []
-    with open(path, "rb") as f:
-        r = BoundedReader(f, path)
+    with BoundedReader(path) as r:
         raw = r.read(r.left, "manifest")
     for lineno, line in enumerate(raw.splitlines(), 1):
         try:
-            line = line.decode("utf-8").strip()
+            line = line.decode("utf-8").strip(" ")
         except UnicodeDecodeError as e:
             raise DataError(f"{path}:{lineno}: not UTF-8 text ({e.reason})")
         if "\0" in line:
             raise DataError(f"{path}:{lineno}: NUL byte in {line!r}")
         if not line or line.startswith("#"):
             continue
-        if "\t" in line:
-            parts = line.split("\t")
-            if len(parts) > 2 or not parts[0]:
-                raise DataError(f"{path}:{lineno}: bad sample row {line!r}")
-            rows.append((parts[0], parts[1] or None))
-        elif "=" in line:
+        if "=" in line and "\t" not in line:
             key, _, value = line.partition("=")
             meta[key.strip()] = value.strip()
-        else:
-            rows.append((line, None))  # bare path = unlabeled sample
+            continue
+        image, _, label = line.partition("\t")  # no TAB: unlabeled sample
+        if not image or "\t" in label:
+            raise DataError(f"{path}:{lineno}: bad sample row {line!r}")
+        rows.append((image, label or None))
     return meta, rows
 
 

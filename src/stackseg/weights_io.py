@@ -5,9 +5,10 @@ per tensor a u32 name length, the UTF-8 name, u32 rank, u32 dims, and the
 raw float32 payload in C order. Entries are written in sorted name order
 so identical states produce identical files.
 
-This module keeps only that layout: every length the reader meets is bounded
-by the file's size through :class:`stackseg.data.BoundedReader`, which owns
-that check for every untrusted file the package reads.
+This module keeps only that layout. :class:`stackseg.data.BoundedReader`
+opens the file, reads regular files only, and reads every byte of it, the
+magic included, so every length the reader meets is bounded by the file's
+size.
 """
 from __future__ import annotations
 
@@ -60,11 +61,10 @@ def save_weights(path, state):
 def load_weights(path):
     """Read a container back into a name -> float32 ndarray dict."""
     state = {}
-    with open(path, "rb") as f:
-        magic = f.read(4)
+    with BoundedReader(path) as r:
+        magic = r.read(len(MAGIC), "magic")
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        r = BoundedReader(f, path)
         version, count = struct.unpack("<II", r.read(8, "header"))
         if version != VERSION:
             raise DataError(f"{path}: unsupported version {version}")
@@ -79,6 +79,6 @@ def load_weights(path):
             (rank,) = _U32.unpack(r.read(4, "rank"))
             dims = struct.unpack(f"<{rank}I", r.read(4 * rank, "dims"))
             state[name] = r.array(dims, _F32, f"payload of {name!r}")
-        if f.read(1):
+        if r.left:
             raise DataError(f"{path}: trailing bytes after {count} tensors")
     return state

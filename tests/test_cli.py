@@ -227,6 +227,23 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert "bad magic" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd here")
+def test_manifest_on_a_pipe_exits_1(workspace, tmp_path, capsys):
+    blob = (workspace / "data" / "manifest.txt").read_bytes()
+    r, w = os.pipe()
+    os.write(w, blob)
+    os.close(w)
+    path = f"/dev/fd/{r}"
+    try:
+        assert run(["train", "--data", path,
+                    "--out", str(tmp_path / "w.sdnw")]) == 1
+    finally:
+        os.close(r)
+    err = capsys.readouterr().err
+    assert f"error: {path}: not a regular file" in err
+    assert "Illegal seek" not in err
+
+
 @pytest.mark.parametrize("command", ["train", "infer", "eval"])
 @pytest.mark.parametrize("blob,hint", [
     (b"num_classes = 3\n\xff.ppm\n", ":2: not UTF-8"),

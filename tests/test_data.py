@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -68,10 +69,21 @@ def test_read_pgm_returns_a_writable_contiguous_uint8_map(tmp_path):
     assert back[0, 0] == 7
 
 
-def test_header_comments_and_whitespace(tmp_path):
+PIXELS = bytes(range(1, 9))
+
+
+@pytest.mark.parametrize("blob", [
+    b"P5\n# comment\n 4  2 # trailing\n255\n" + PIXELS,
+    b"P5#c\n4 2\n255\n" + PIXELS,  # a comment right after the magic
+    b"P5\t4\t2\t255\t" + PIXELS,
+    b"P5\r4\r2\r255\r" + PIXELS,
+    b"P5\n4 2\n255\r\n" + PIXELS[:7],  # only \r ends maxval: \n is a pixel
+], ids=["comments", "comment_after_magic", "tabs", "crs", "crlf"])
+def test_header_comments_and_whitespace(tmp_path, blob):
     path = tmp_path / "c.pgm"
-    path.write_bytes(b"P5\n# comment\n 4  2 # trailing\n255\n" + bytes(8))
-    assert read_pgm(path).shape == (2, 4)
+    path.write_bytes(blob)
+    got = read_pgm(path)
+    assert got.shape == (2, 4) and got.tobytes() == blob[-8:]
 
 
 @pytest.mark.parametrize("blob, hint", [
@@ -79,6 +91,9 @@ def test_header_comments_and_whitespace(tmp_path):
     (b"P5\n2 2\n255\n" + bytes(3), "truncated"),        # short payload
     (b"P5\n2 2\n65535\n" + bytes(8), "maxval"),         # 16-bit depth
     (b"P5\nab 2\n255\n" + bytes(4), "malformed"),       # non-numeric size
+    (b"P5\n999999999 1\n255\n" + bytes(4), "truncated"),  # 9 digits parse
+    (b"P5\n1000000000 1\n255\n" + bytes(4), "malformed"),  # 10 do not
+    (b"P5\n2 2\n# runs to the end", "malformed"),     # comment hits EOF
 ])
 def test_pnm_error_cases(tmp_path, blob, hint):
     path = tmp_path / "junk.pgm"
@@ -92,7 +107,13 @@ def test_pnm_error_cases(tmp_path, blob, hint):
     (b"P5\n" + b"9" * 40 + b" 2\n255\n" + bytes(10), "malformed"),
     (b"P5\n" + b"9" * 5000 + b" 2\n255\n" + bytes(10), "malformed"),
     (b"P5\n0 2\n255\n", "size"),
-], ids=["huge_size", "40_digit_width", "5000_digit_width", "zero_width"])
+    # the header is parsed from one read of at most DEFAULT_BUFFER_SIZE bytes
+    (b"P5\n" + b" " * io.DEFAULT_BUFFER_SIZE + b"2 2\n255\n" + bytes(4),
+     "malformed"),
+    (b"P5\n" + b"#\n" * io.DEFAULT_BUFFER_SIZE + b"2 2\n255\n" + bytes(4),
+     "malformed"),
+], ids=["huge_size", "40_digit_width", "5000_digit_width", "zero_width",
+        "spaces_past_read_window", "comments_past_read_window"])
 def test_pnm_size_bounded_by_file(tmp_path, blob, hint):
     path = tmp_path / "corrupt.pgm"
     path.write_bytes(blob)
@@ -121,14 +142,18 @@ def test_manifest_round_trip(tmp_path):
 
 def test_manifest_ignores_blanks_and_comments(tmp_path):
     path = tmp_path / "m.txt"
-    path.write_text("# header\n\nnum_classes = 2\nimg.ppm\tlab.pgm\n")
+    path.write_text("# header\n\nnum_classes = 2\nimg.ppm\tlab.pgm\n"
+                    "a.ppm\t\n")  # an empty label column: unlabeled
     meta, rows = parse_manifest(path)
-    assert meta == {"num_classes": "2"} and rows == [("img.ppm", "lab.pgm")]
+    assert meta == {"num_classes": "2"}
+    assert rows == [("img.ppm", "lab.pgm"), ("a.ppm", None)]
 
 
-def test_manifest_rejects_extra_columns(tmp_path):
+@pytest.mark.parametrize("row", ["a.ppm\tb.pgm\tc\n", "\tb.pgm\n"],
+                         ids=["extra_column", "empty_image_column"])
+def test_manifest_rejects_extra_columns(tmp_path, row):
     path = tmp_path / "m.txt"
-    path.write_text("a.ppm\tb.pgm\tc\n")
+    path.write_text(row)
     with pytest.raises(DataError, match="bad sample row"):
         parse_manifest(path)
 

@@ -4,17 +4,28 @@
 or trusts a length it has not checked against the file, grows until it
 runs out of memory. Each reader is run on it in a child process that caps
 its own address space, so such a reader fails there with a
-``MemoryError`` instead of taking the machine's memory. FIFOs are not
-tested: opening one blocks until a writer appears.
+``MemoryError`` instead of taking the machine's memory.
+
+A pipe cannot be sized either. One made with ``os.pipe()`` is read as a
+path through ``/dev/fd/N``: unlike a named FIFO's, its open does not wait
+for a writer, and its write end is closed before the read, so even a
+reader that reads to EOF ends. A named FIFO is not tested: opening one
+blocks until a writer appears.
 """
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stackseg
+from stackseg import DataError
+from stackseg.data import load_samples, parse_manifest, read_pgm, read_ppm, \
+    write_manifest, write_pgm, write_ppm
+from stackseg.weights_io import load_weights, save_weights
 
 pytest.importorskip("resource")  # the child caps its address space
 
@@ -49,3 +60,38 @@ def test_readers_on_dev_zero_raise_data_error():
     got = [line.split(" ", 2)[:2] for line in proc.stdout.splitlines()]
     assert got == [[name, "DataError"] for name in
                    ("read_ppm", "read_pgm", "load_weights", "load_samples")]
+
+
+def valid_file(tmp_path, reader):
+    """Bytes of a file ``reader`` reads when it is a regular file."""
+    path = tmp_path / "file"
+    if reader is read_ppm:
+        write_ppm(path, np.zeros((3, 4, 5), dtype=np.float32))
+    elif reader is read_pgm:
+        write_pgm(path, np.ones((4, 5), dtype=np.uint8))
+    elif reader is load_weights:
+        save_weights(path, {"w": np.ones((2, 3), dtype=np.float32)})
+    else:
+        write_ppm(tmp_path / "a.ppm", np.zeros((3, 4, 5), dtype=np.float32))
+        write_manifest(path, {"num_classes": "3"}, [("a.ppm", None)])
+    reader(path)
+    return path.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd here")
+@pytest.mark.parametrize("reader", [read_ppm, read_pgm, load_weights,
+                                    parse_manifest, load_samples],
+                         ids=lambda f: f.__name__)
+def test_readers_on_a_pipe_raise_data_error(tmp_path, reader):
+    r, w = os.pipe()
+    os.write(w, valid_file(tmp_path, reader))  # fits in the pipe's buffer
+    os.close(w)
+    path = f"/dev/fd/{r}"
+    try:
+        with pytest.raises(DataError, match=re.escape(path)
+                           + ": not a regular file, so its size cannot"):
+            reader(path)
+    finally:
+        os.close(r)
+    with pytest.raises(DataError, match="not a regular file"):
+        reader(tmp_path)  # a directory cannot be sized either
