@@ -22,9 +22,9 @@ from .data import IGNORE_INDEX, load_samples, read_pgm, save_dataset, \
 from .errors import ConfigError, DataError, DivergenceError, UsageError
 from .metrics import EvalAccumulator
 from .network import MS_SCALES, PROFILES, NetworkConfig, StackedNet, \
-    config_from_state, predict_ms_flip
+    predict_ms_flip
 from .trainer import TrainConfig, train
-from .weights_io import load_weights, save_weights
+from .weights_io import save_weights
 
 
 def _parse_csv(text, kind, what):
@@ -103,11 +103,7 @@ def cmd_train(args):
 def cmd_infer(args):
     scales = (_parse_csv(args.scales, float, "scales") if args.ms_flip
               else None)
-    state = load_weights(args.weights)
-    state.pop("meta.config", None)  # the config copy earlier versions wrote
-    net = StackedNet(config_from_state(state))
-    net.load_state(state)
-    del state  # the net holds its own copy of every weight
+    net = StackedNet.load(args.weights)
     _, samples = _load_named_samples(args.data)
     for s in samples:
         if args.ms_flip:
@@ -124,7 +120,7 @@ def cmd_eval(args):
     meta, samples = _load_named_samples(args.data)
     acc = EvalAccumulator(_num_classes(args, meta))
     for s in samples:
-        if s.labels is None:
+        if not s.labeled:
             raise DataError(f"sample {s.name} has no labels")
         pred_path = os.path.join(args.pred, f"{s.name}_pred.pgm")
         if not os.path.exists(pred_path):

@@ -1,10 +1,11 @@
 """Image and label IO, dataset manifests, and a synthetic shapes task.
 
 Images travel as (3, h, w) float32 in [0, 1] (8-bit binary PPM on disk,
-value/255). A loaded dataset stores each image as its PPM's own 8-bit
-pixels, a quarter of the float bytes, and serves it as float32 on each
-read of ``Sample.image``. Labels and predictions are (h, w) uint8 label
-maps (binary PGM), with 255 reserved for ignored pixels.
+value/255). Labels and predictions are (h, w) uint8 label maps (binary
+PGM), with 255 reserved for ignored pixels. A loaded dataset holds no
+pixels: :func:`load_samples` checks every file once, and each sample
+reads its PPM's 8-bit pixels and its PGM's labels again on every access,
+serving the image as float32.
 
 A manifest is a text file of ``key = value`` header lines followed by one
 ``image<TAB>label`` row per sample (the label column may be omitted for
@@ -13,10 +14,11 @@ unlabeled data); paths are relative to the manifest's directory.
 :class:`BoundedReader` opens every untrusted file the package reads (a
 PPM/PGM, manifest or SDNW checkpoint of ``weights_io``), and every byte of
 one is read through it. It reads regular files only, whose size it can
-check: any other file, such as a pipe or ``/dev/zero``, is a
-:class:`DataError`. Every length such a file declares is checked against
-the bytes it has left before anything that size is read or allocated, so
-a corrupt file fails with :class:`DataError`.
+check: any other file, such as a pipe, a named FIFO or ``/dev/zero``, is
+a :class:`DataError`, raised without waiting for a FIFO's writer. Every
+length such a file declares is checked against the bytes it has left
+before anything that size is read or allocated, so a corrupt file fails
+with :class:`DataError`.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import math
 import os
 import re
 import stat
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,13 +54,15 @@ class BoundedReader:
 
     def __enter__(self):
         # os.open, unlike open(), opens a directory too, so that it is
-        # refused here as every other file that is not regular is
-        fd = os.open(self.path, os.O_RDONLY)
+        # refused here as every other file that is not regular is; and
+        # O_NONBLOCK keeps the open of a named FIFO from waiting for a writer
+        fd = os.open(self.path, os.O_RDONLY | os.O_NONBLOCK)
         st = os.fstat(fd)
         if not stat.S_ISREG(st.st_mode):
             os.close(fd)
             raise DataError(f"{self.path}: not a regular file, so its size "
                             f"cannot be checked")
+        os.set_blocking(fd, True)
         self.left = st.st_size
         # a fixed buffer size, so that :meth:`peek` sees the same window on
         # every file system
@@ -101,18 +105,33 @@ class BoundedReader:
         return out
 
 
-@dataclass
 class Sample:
-    """One image with its label map (None when unlabeled).
+    """One image with its label map, or None when unlabeled.
 
-    ``pixels`` is what the sample was built from: a loaded sample's
-    (3, h, w) uint8 view of its PPM's bytes, or any float image, such as a
-    synthetic one. ``image`` reads it as float32 in [0, 1].
+    Each of the two is an array held in memory (a synthetic sample, or one
+    built from arrays), or, in a sample :func:`load_samples` made, a
+    :class:`PnmFile` that is read on every access. ``pixels`` is the image
+    as held or read: a loaded sample's (3, h, w) uint8 view of its PPM's
+    bytes, or any float image. ``image`` reads it as float32 in [0, 1].
     """
 
-    pixels: np.ndarray
-    labels: np.ndarray | None
-    name: str
+    __slots__ = ("_pixels", "_labels", "name")
+
+    def __init__(self, pixels, labels, name):
+        self._pixels, self._labels, self.name = pixels, labels, name
+
+    @property
+    def pixels(self):
+        return _held(self._pixels)
+
+    @property
+    def labels(self):
+        return _held(self._labels)
+
+    @property
+    def labeled(self):
+        """Whether the sample has a label map; no file is opened."""
+        return self._labels is not None
 
     @property
     def image(self):
@@ -120,6 +139,11 @@ class Sample:
         :func:`read_ppm` converts them, on every read; a float image is
         returned as it is."""
         return _as_float(self.pixels)
+
+
+def _held(value):
+    """An array or None as it is; a :class:`PnmFile`'s pixels, read now."""
+    return value.read() if isinstance(value, PnmFile) else value
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +159,31 @@ _PNM_HEADER = re.compile(rb"P[56]" + 3 * (
     rb"\s*(?:#[^\n]*\n\s*)*(\d{1,%d})\s" % _PNM_FIELD_DIGITS))
 
 
-def _read_pnm(path, magic, *channels):
-    """The file's (h, w, *channels) uint8 pixels, writable and C-order."""
+class PnmFile(NamedTuple):
+    """A PNM file whose header was checked: its path, the header's bytes,
+    and the (h, w[, 3]) shape of the uint8 pixels that follow them."""
+
+    path: str
+    header: bytes
+    shape: tuple
+
+    def read(self):
+        """The pixels, read now: (h, w) for a PGM, and for a PPM the
+        (3, h, w) transposed view of the (h, w, 3) bytes read. Raises
+        :class:`DataError` naming the file if it no longer starts with the
+        checked header or is too short for its pixels."""
+        with BoundedReader(self.path) as r:
+            header = r.read(len(self.header), "header")
+            if header != self.header:
+                raise DataError(f"{self.path}: header changed to {header!r} "
+                                f"since it was checked as {self.header!r}")
+            pixels = r.array(self.shape, _U8, "pixel data")
+        return pixels.transpose(2, 0, 1) if pixels.ndim == 3 else pixels
+
+
+def _check_pnm(path, magic, *channels):
+    """The :class:`PnmFile` at ``path``, once its magic, header and the
+    size of the (h, w, *channels) pixels it declares are checked."""
     with BoundedReader(path) as r:
         head = r.peek()
         if head[:2] != magic:
@@ -150,13 +197,10 @@ def _read_pnm(path, magic, *channels):
             raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
         if w < 1 or h < 1:
             raise DataError(f"{path}: bad image size {w}x{h}")
-        r.read(m.end(), "header")
-        return r.array((h, w, *channels), _U8, "pixel data")
-
-
-def _read_ppm_pixels(path):
-    """(3, h, w) uint8: the transposed view of the file's (h, w, 3) bytes."""
-    return _read_pnm(path, b"P6", 3).transpose(2, 0, 1)
+        header = r.read(m.end(), "header")
+        shape = (h, w, *channels)
+        r._claim(math.prod(shape), "pixel data")
+    return PnmFile(path, header, shape)
 
 
 def _as_float(pixels):
@@ -169,7 +213,7 @@ def _as_float(pixels):
 
 def read_ppm(path):
     """(3, h, w) float32 in [0, 1]."""
-    return _as_float(_read_ppm_pixels(path))
+    return _as_float(_check_pnm(path, b"P6", 3).read())
 
 
 def write_ppm(path, image):
@@ -186,7 +230,7 @@ def write_ppm(path, image):
 def read_pgm(path):
     """(h, w) uint8 label maps and prediction maps, writable and
     C-contiguous."""
-    return _read_pnm(path, b"P5")
+    return _check_pnm(path, b"P5").read()
 
 
 def write_pgm(path, labels):
@@ -248,25 +292,30 @@ def write_manifest(path, meta, rows):
 
 
 def load_samples(manifest_path):
-    """Materialize every sample a manifest points at.
+    """The samples a manifest lists, checked now and read when used.
 
-    Each image is kept as the bytes its PPM holds, (3, h, w) uint8, and
-    each label map as its PGM's: h·w·3 + h·w bytes per sample.
+    Every PPM and PGM is opened and checked here: its magic and header,
+    that the pixels it declares fit in the file, and that a label map has
+    its image's (h, w); so a bad file fails before the first use of any
+    sample. No pixels are kept: each sample holds a :class:`PnmFile` per
+    file (its path, checked header bytes and shape) and reads the image
+    and labels again on every access of ``pixels``, ``image`` or
+    ``labels``.
     """
     meta, rows = parse_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     samples = []
     for image_rel, label_rel in rows:
-        pixels = _read_ppm_pixels(os.path.join(base, image_rel))
+        image = _check_pnm(os.path.join(base, image_rel), b"P6", 3)
         labels = None
         if label_rel is not None:
-            labels = read_pgm(os.path.join(base, label_rel))
-            if labels.shape != pixels.shape[1:]:
+            labels = _check_pnm(os.path.join(base, label_rel), b"P5")
+            if labels.shape != image.shape[:2]:
                 raise DataError(
-                    f"{image_rel}: image is {pixels.shape[1:]} but label map "
+                    f"{image_rel}: image is {image.shape[:2]} but label map "
                     f"{label_rel} is {labels.shape}")
         name = os.path.splitext(os.path.basename(image_rel))[0]
-        samples.append(Sample(pixels, labels, name))
+        samples.append(Sample(image, labels, name))
     if not samples:
         raise DataError(f"{manifest_path}: no samples listed")
     return meta, samples

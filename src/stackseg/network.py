@@ -30,6 +30,7 @@ from .layers import BnActConv, BnRelu, ConvLayer, DenseBlock, \
 from .ops import bilinear_resize, ce_targets, eltwise_add, maxpool2d, \
     resize_bilinear_array, softmax_ce_loss, softmax_probs
 from .tensor import Tensor, no_grad
+from .weights_io import load_weights
 
 SIZE_MULTIPLE = 16  # inputs must divide evenly down to the deepest scale
 KEEP_PROB = 0.8  # dropout keep probability of every stacked-unit conv
@@ -294,6 +295,30 @@ class StackedNet(Module):
         float32 copy and is never drawn; one already drawn, and every
         running statistic, is copied into in place.
         """
+        self._set_state(state, np.array)
+
+    @classmethod
+    def load(cls, path):
+        """The network a checkpoint file holds, with its weights.
+
+        :func:`load_weights` reads the file, :func:`config_from_state`
+        names the network from the tensors' names and shapes, and the
+        network built from it is set as :meth:`load_state` sets it, after
+        the same checks: the same values bit for bit, and no weight drawn.
+        Each weight array read from the file becomes its parameter's value
+        as it is, so the load holds one copy of the weights, not two. The
+        arrays were read for this network alone, so no other network or
+        dict shares them. Running statistics are copied in place.
+        """
+        state = load_weights(path)
+        state.pop("meta.config", None)  # the config copy earlier versions wrote
+        net = cls(config_from_state(state))
+        net._set_state(state, np.asarray)
+        return net
+
+    def _set_state(self, state, take):
+        """:meth:`load_state`, giving each pending parameter
+        ``take(array, dtype=np.float32)``."""
         params = {p.name: p for p in self.params()}
         buffers = dict(self.buffers())
         own = {**params, **buffers}  # Params and arrays: both have a shape
@@ -309,7 +334,7 @@ class StackedNet(Module):
                                 f"!= model shape {dst.shape}")
         for name, p in params.items():
             if p.pending:
-                p.value = np.array(state[name], dtype=np.float32)
+                p.value = take(state[name], dtype=np.float32)
             else:
                 np.copyto(p.value, state[name])
         for name, b in buffers.items():

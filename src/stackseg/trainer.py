@@ -124,7 +124,7 @@ def train(net, samples, cfg, log_fn=None):
     if not samples:
         raise DataError("no training samples")
     for s in samples:
-        if s.labels is None:
+        if not s.labeled:
             raise DataError(f"sample {s.name} has no labels")
     fill = mean_pixel(samples)
     aug_seq, drop_seq = np.random.SeedSequence(cfg.seed).spawn(2)

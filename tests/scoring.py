@@ -9,7 +9,7 @@ def evaluate(net, samples):
     """Score plain single-scale predictions against sample labels."""
     acc = EvalAccumulator(net.config.num_classes)
     for s in samples:
-        if s.labels is None:
+        if not s.labeled:
             raise DataError(f"sample {s.name} has no labels to score against")
         acc.update(s.labels, net.predict(s.image[None])[0])
     return acc

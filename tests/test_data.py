@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -206,23 +207,51 @@ def test_load_samples_checks_sizes(tmp_path):
 
 
 def test_load_samples_keeps_the_ppm_bytes(tmp_path):
-    n, size = 4, 64
-    manifest = save_dataset(tmp_path / "ds", synth_dataset(n, size, seed=4),
-                            {"num_classes": "3"})
-    tracemalloc.start()
-    try:
-        _, loaded = load_samples(manifest)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    for s in loaded:
-        assert s.pixels.dtype == np.uint8 and s.pixels.shape == (3, size, size)
-        assert s.pixels.nbytes == 3 * size * size
-        # the (h, w, 3) buffer the file was read into, not a copy of it
-        assert s.pixels.base.shape == (size, size, 3)
-    # h·w·3 image bytes and h·w label bytes per sample, plus small objects;
-    # float32 images alone would hold 12·h·w
-    assert held < n * 4 * size * size + (16 << 10)
+    n = 4
+    held = {}
+    for size in (64, 256):
+        manifest = save_dataset(tmp_path / str(size),
+                                synth_dataset(n, size, seed=4),
+                                {"num_classes": "3"})
+        tracemalloc.start()
+        try:
+            _, loaded = load_samples(manifest)
+            held[size], _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for s in loaded:
+            assert s.pixels.dtype == np.uint8
+            assert s.pixels.shape == (3, size, size)
+            assert s.pixels.nbytes == 3 * size * size
+            # the (h, w, 3) buffer the file was read into, not a copy of it
+            assert s.pixels.base.shape == (size, size, 3)
+    # a loaded sample holds its files' paths, headers and shapes, not their
+    # pixels: at 256 px the pixels and labels would add 4·(256² − 64²)
+    # bytes per sample, 960 KiB in all
+    assert abs(held[256] - held[64]) < 4 << 10
+
+
+def test_a_file_changed_after_loading_fails_at_its_next_read(tmp_path):
+    ppm, pgm = tmp_path / "a.ppm", tmp_path / "a.pgm"
+    write_ppm(ppm, np.zeros((3, 8, 4), dtype=np.float32))
+    write_pgm(pgm, np.ones((8, 4), dtype=np.uint8))
+    manifest = tmp_path / "manifest.txt"
+    write_manifest(manifest, {}, [("a.ppm", "a.pgm")])
+    _, (s,) = load_samples(manifest)
+    assert s.pixels.shape == (3, 8, 4) and s.labels.shape == (8, 4)
+    ppm.write_bytes(ppm.read_bytes()[:-1])
+    for attr in ("image", "pixels"):
+        with pytest.raises(DataError,
+                           match=re.escape(f"{ppm}: truncated while reading "
+                                           "pixel data")):
+            getattr(s, attr)
+    # the same header length and payload size, with the dims swapped
+    pgm.write_bytes(pgm.read_bytes().replace(b"\n4 8\n", b"\n8 4\n", 1))
+    with pytest.raises(DataError,
+                       match=re.escape(f"{pgm}: header changed to "
+                                       "b'P5\\n8 4\\n255\\n'")):
+        s.labels
+    assert s.labeled  # known without opening the file
 
 
 def test_sample_image_is_read_ppm_of_its_file(tmp_path):

@@ -7,10 +7,11 @@ its own address space, so such a reader fails there with a
 ``MemoryError`` instead of taking the machine's memory.
 
 A pipe cannot be sized either. One made with ``os.pipe()`` is read as a
-path through ``/dev/fd/N``: unlike a named FIFO's, its open does not wait
-for a writer, and its write end is closed before the read, so even a
-reader that reads to EOF ends. A named FIFO is not tested: opening one
-blocks until a writer appears.
+path through ``/dev/fd/N``: its write end is closed before the read, so
+even a reader that reads to EOF ends. A named FIFO with no writer is
+read in a child process under a timeout: a blocking open of one waits
+for a writer forever, so a reader whose open blocks fails the test
+instead of hanging the suite.
 """
 import os
 import re
@@ -49,13 +50,35 @@ for reader in (read_ppm, read_pgm, load_weights, load_samples):
 """
 
 
+FIFO_CHILD = """
+import sys
+from stackseg import DataError
+from stackseg.data import load_samples, parse_manifest, read_pgm, read_ppm
+from stackseg.weights_io import load_weights
+
+fifo, manifest = sys.argv[1:]
+for reader, path in ((read_ppm, fifo), (read_pgm, fifo), (load_weights, fifo),
+                     (parse_manifest, fifo), (load_samples, manifest)):
+    try:
+        reader(path)
+    except DataError as e:
+        print(reader.__name__, e)
+    else:
+        print(reader.__name__, "returned")
+"""
+
+
+def run_child(*args, timeout):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(stackseg.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/zero"),
                     reason="no /dev/zero here")
 def test_readers_on_dev_zero_raise_data_error():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=str(Path(stackseg.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = run_child(CHILD, timeout=60)
     assert proc.returncode == 0, proc.stderr
     got = [line.split(" ", 2)[:2] for line in proc.stdout.splitlines()]
     assert got == [[name, "DataError"] for name in
@@ -95,3 +118,19 @@ def test_readers_on_a_pipe_raise_data_error(tmp_path, reader):
         os.close(r)
     with pytest.raises(DataError, match="not a regular file"):
         reader(tmp_path)  # a directory cannot be sized either
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named FIFOs here")
+def test_readers_on_a_named_fifo_raise_data_error_without_waiting(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)  # and no process ever opens it for writing
+    manifest = tmp_path / "manifest.txt"
+    write_manifest(manifest, {"num_classes": "3"}, [("fifo", None)])
+    # a reader that waits for a writer raises TimeoutExpired here
+    proc = run_child(FIFO_CHILD, str(fifo), str(manifest), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    refused = f"{fifo}: not a regular file, so its size cannot be checked"
+    assert proc.stdout.splitlines() == [
+        f"{name} {refused}" for name in
+        ("read_ppm", "read_pgm", "load_weights", "parse_manifest",
+         "load_samples")]

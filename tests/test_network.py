@@ -449,6 +449,53 @@ def test_a_weight_read_before_load_state_is_drawn_then_copied_over(
     assert _state_hash(net.state_dict()) == _state_hash(state)
 
 
+def test_load_is_load_weights_then_load_state_without_draws(
+        tmp_path, monkeypatch):
+    trained = StackedNet(mini_config(3, num_units=2), seed=1)
+    trained.forward(small_input(), training=True,
+                    rng=np.random.default_rng(1))  # moves the running stats
+    path = tmp_path / "w.sdnw"
+    save_weights(path, trained.state_dict())
+    calls = _count_draws(monkeypatch)
+    want = StackedNet(config_from_state(load_weights(path)))
+    want.load_state(load_weights(path))
+    a, b = StackedNet.load(path), StackedNet.load(path)
+    x = small_input(2, seed=4)
+    assert a.predict_logits(x).tobytes() == want.predict_logits(x).tobytes()
+    assert _state_hash(a.state_dict()) == _state_hash(want.state_dict())
+    assert calls == []
+    # each load reads its own arrays: two networks never share a weight
+    other = b.state_dict()
+    for name, value in a.state_dict().items():
+        assert not np.shares_memory(value, other[name]), name
+
+
+def test_load_holds_one_copy_of_the_weights(tmp_path):
+    path = tmp_path / "w.sdnw"
+    state = StackedNet(mini_config(3, num_units=2), seed=1).state_dict()
+    save_weights(path, state)
+    weights = sum(v.nbytes for v in state.values())
+    StackedNet.load(path)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        net = StackedNet.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # ~1.2x here; a second copy of every weight, as load_state makes, ~2.2x
+    assert peak < 1.5 * weights
+    assert _state_hash(net.state_dict()) == _state_hash(state)
+
+
+def test_load_refuses_a_file_whose_names_do_not_match(tmp_path):
+    state = StackedNet(mini_config(3, num_units=2), seed=1).state_dict()
+    state["entry.bogus"] = state.pop("entry.b")
+    path = tmp_path / "w.sdnw"
+    save_weights(path, state)
+    with pytest.raises(DataError, match="entry.bogus"):
+        StackedNet.load(path)
+
+
 @pytest.mark.parametrize("use", [
     lambda net, state: None,
     lambda net, state: net.load_state(state),

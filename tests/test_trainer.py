@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 import stackseg
 from scoring import evaluate
-from stackseg import ConfigError, DataError, DivergenceError, Param, trainer
+from stackseg import ConfigError, DataError, DivergenceError, Param, data, \
+    trainer
 from stackseg.data import Sample, load_samples, read_ppm, save_dataset, \
     synth_dataset
 from stackseg.network import StackedNet, mini_config
@@ -233,6 +234,34 @@ def test_training_on_loaded_samples_is_bitwise_training_on_read_ppm(tmp_path):
     assert a.keys() == b.keys()
     for name in a:
         assert a[name].tobytes() == b[name].tobytes(), name
+
+
+def test_train_opens_no_label_file_before_the_first_augment(tmp_path,
+                                                           monkeypatch):
+    manifest = save_dataset(tmp_path / "ds", synth_dataset(3, 32, seed=2),
+                            {"num_classes": "3"})
+    _, loaded = load_samples(manifest)
+    events = []
+    enter = data.BoundedReader.__enter__
+
+    def opened(reader):
+        events.append(str(reader.path))
+        return enter(reader)
+
+    def augmented(*args):
+        events.append("augment")
+        return augment(*args)
+
+    monkeypatch.setattr(data.BoundedReader, "__enter__", opened)
+    monkeypatch.setattr(trainer, "augment", augmented)
+    train(tiny_net(), loaded, TrainConfig(max_iter=1, batch_size=1, crop=32))
+    first = events.index("augment")
+    # the mean pixel reads every image; whether a sample is labeled is
+    # known without opening its label file
+    assert sorted(events[:first]) == sorted(
+        str(tmp_path / "ds" / f"{s.name}.ppm") for s in loaded)
+    # the one augment reads its sample's image, then its labels
+    assert [e[-4:] for e in events[first + 1:]] == [".ppm", ".pgm"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf weights on purpose
