@@ -2,7 +2,8 @@
 
 Subcommands: ``synth`` (write a synthetic dataset), ``train``, ``infer``,
 ``eval`` (score prediction maps against labels), ``analyze`` (closed-form
-architecture accounting), and ``gradcheck`` (finite-difference sweeps).
+architecture accounting, checked against the built network), and
+``gradcheck`` (finite-difference sweeps).
 
 A checkpoint holds only the network's tensors; their names and shapes
 say which network it is, so ``infer`` rebuilds it without extra flags.
@@ -101,12 +102,12 @@ def cmd_train(args):
 
 
 def cmd_infer(args):
-    scales = (_parse_csv(args.scales, float, "scales") if args.ms_flip
-              else None)
+    scales = (_parse_csv(args.ms_flip, float, "scales")
+              if args.ms_flip is not None else None)
     net = StackedNet.load(args.weights)
     _, samples = _load_named_samples(args.data)
     for s in samples:
-        if args.ms_flip:
+        if scales:
             pred = predict_ms_flip(net, s.image, scales=scales, mirror=True)
         else:
             pred = net.predict(s.image[None])[0]
@@ -140,7 +141,10 @@ def cmd_analyze(args):
     report = architecture_report(cfg)
     print(f"profile={args.profile} classes={args.classes} units={args.units}")
     print(format_report(report))
-    status = 0
+    net = StackedNet(cfg, seed=0)  # draws no weights: shapes only
+    match = count_network_params(net) == report.params_by_section
+    print(f"built_matches_closed_form={str(match).lower()}")
+    status = 0 if match else 1
     if args.sweep > 1:
         totals = [architecture_report(NetworkConfig(args.classes, u,
                                                     profile)).params_total
@@ -153,12 +157,6 @@ def cmd_analyze(args):
         constant = len(set(deltas)) <= 1
         print(f"sweep.unit_delta_constant={str(constant).lower()}")
         if not constant:
-            status = 1
-    if args.check_built:
-        net = StackedNet(cfg, seed=0)
-        match = count_network_params(net) == report.params_by_section
-        print(f"built_matches_closed_form={str(match).lower()}")
-        if not match:
             status = 1
     return status
 
@@ -214,9 +212,10 @@ def build_parser():
     p.add_argument("--weights", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--ms-flip", action="store_true",
-                   help="average over scales and mirrors")
-    p.add_argument("--scales", default=",".join(map(str, MS_SCALES)))
+    p.add_argument("--ms-flip", nargs="?", metavar="SCALES",
+                   const=",".join(map(str, MS_SCALES)),
+                   help="average over mirrors and these comma-separated "
+                        "scales (default %(const)s)")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against labels")
@@ -231,8 +230,6 @@ def build_parser():
     p.add_argument("--classes", type=int, default=21)
     p.add_argument("--sweep", type=int, default=0,
                    help="also report totals for 1..N units and their deltas")
-    p.add_argument("--check-built", action="store_true",
-                   help="build the network and compare section by section")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient sweeps")

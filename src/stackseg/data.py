@@ -153,10 +153,12 @@ def _held(value):
 # magic, then width, height and maxval: each field is preceded by any
 # whitespace and whole comment lines, and ended by one whitespace byte.
 # Whitespace runs are single-byte repeats, which keep no backtracking
-# state per byte; each comment line keeps ~220 bytes, so even a peek
-# window full of them stays under 1 MiB.
+# state per byte. The comment lines are a possessive repeat (Python
+# 3.11's ``*+``), which keeps none at all: after the last comment and its
+# whitespace only a digit can match, so giving a line back never helps,
+# and a peek window full of comment lines parses in ~18 KB.
 _PNM_HEADER = re.compile(rb"P[56]" + 3 * (
-    rb"\s*(?:#[^\n]*\n\s*)*(\d{1,%d})\s" % _PNM_FIELD_DIGITS))
+    rb"\s*(?:#[^\n]*\n\s*)*+(\d{1,%d})\s" % _PNM_FIELD_DIGITS))
 
 
 class PnmFile(NamedTuple):

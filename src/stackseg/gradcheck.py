@@ -160,9 +160,13 @@ def primitive_checks(rng):
     cb = rng.standard_normal((2, 3, 3, 3))
     cc = rng.standard_normal((2, 5, 3, 3))
     rc = rng.standard_normal((2, 5, 3, 3))
-    checks.append(("concat_add", lambda at, bt, ct: weighted_sum(
-        ops.eltwise_add(ops.concat_channels([at, bt]), ct), rc),
-        [ca, cb, cc]))
+
+    def concat_add(at, bt, ct):
+        buf = np.concatenate([at.data, bt.data], axis=1)
+        return weighted_sum(
+            ops.eltwise_add(ops.concat_channels([at, bt], buf), ct), rc)
+
+    checks.append(("concat_add", concat_add, [ca, cb, cc]))
 
     z = rng.standard_normal((2, 4, 3, 3))
     labels = rng.integers(0, 4, size=(2, 3, 3))

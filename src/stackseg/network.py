@@ -83,6 +83,12 @@ class NetworkConfig:
     def validate(self):
         if self.num_classes < 2:
             raise ConfigError(f"num_classes={self.num_classes}, need >= 2")
+        # label maps are 8-bit, and IGNORE_INDEX marks ignored pixels
+        if self.num_classes > IGNORE_INDEX:
+            raise ConfigError(
+                f"a {self.num_classes}-class network cannot write 8-bit "
+                f"label maps: need <= {IGNORE_INDEX} classes, as "
+                f"{IGNORE_INDEX} marks ignored pixels")
         if self.num_units < 1:
             raise ConfigError(f"num_units={self.num_units}, need >= 1")
         ratios = tuple(self.supervision_ratios)
@@ -231,7 +237,7 @@ def _check_floating(dtype):
 
 
 def _check_batch(x):
-    """A batch is a floating (n, 3, h, w) array or Tensor with n >= 1."""
+    """A batch is a floating (n, 3, h, w) array with n >= 1."""
     if len(x.shape) != 4 or x.shape[1] != 3 or not x.shape[0]:
         raise ConfigError(f"expected (n, 3, h, w) input with n >= 1, "
                           f"got {x.shape}")
@@ -345,9 +351,9 @@ class StackedNet(Module):
     def forward(self, x, training=False, rng=None, ratios=None):
         """Run the stack; returns {(unit_index, ratio): fused score Tensor}.
 
-        ``x`` is a floating (n, 3, h, w) batch, an array or Tensor; any
-        other dtype raises ``DataError``, since a uint8 image's 0-255
-        values are not the [0, 1] floats the network takes.
+        ``x`` is a floating (n, 3, h, w) array, which becomes the graph's
+        input leaf; any other dtype raises ``DataError``, since a uint8
+        image's 0-255 values are not the [0, 1] floats the network takes.
 
         ``ratios`` picks which supervision ratios are scored (None: all of
         them). Every unit still computes all its taps, since the next unit
@@ -358,8 +364,7 @@ class StackedNet(Module):
         elif not ratios or set(ratios) - set(self.config.supervision_ratios):
             raise ConfigError(f"ratios {ratios} must be a non-empty subset "
                               f"of {self.config.supervision_ratios}")
-        if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x))
+        x = np.asarray(x)
         _check_batch(x)
         n, _, h, w = x.shape
         if h % SIZE_MULTIPLE or w % SIZE_MULTIPLE:
@@ -368,7 +373,7 @@ class StackedNet(Module):
         if training and rng is None:
             raise UsageError("training forward needs an rng for dropout")
 
-        feat, raw = self.encoder(x, training, rng)
+        feat, raw = self.encoder(Tensor(x), training, rng)
         skips = {4: self.skip4(raw[4], training, rng),
                  8: self.skip8(raw[8], training, rng)}
         taps = {16: self.entry(feat)}

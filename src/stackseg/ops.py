@@ -15,9 +15,11 @@ swapped. Its forward is the correlation's input gradient: for a narrow
 output and a stride that divides the kernel, the s*s output phases are
 stride-1 correlations over one backward-stepping tap view, one GEMM
 call in all; otherwise a col2im scatter. ``tests/reference.py`` keeps
-direct-loop versions of both ops as independent oracles. All ops follow
-the dtype of their inputs, so the same code runs in float32 for training
-and float64 for gradient checks.
+direct-loop versions of both ops as independent oracles. Every op takes
+its inputs as :class:`Tensor` nodes; the network's only leaves are its
+input batch, made by ``StackedNet.forward``, and its weights, made by
+``Param.as_tensor``. All ops follow the dtype of their inputs, so the
+same code runs in float32 for training and float64 for gradient checks.
 
 A training node keeps no activation-sized array the graph does not
 already hold (its parents), unless recomputing it would cost more than
@@ -29,9 +31,9 @@ bitwise those of kept copies. Still kept: the patch matrix of a strided,
 mask, and cross-entropy's log-probabilities, which cost less to keep
 than to recompute for every loss head; the heads of one batch share one
 label preparation (:func:`ce_targets`). A channel concatenation is one
-:func:`concat_channels` node, and in the network every one is a view of
-the buffer a dense block writes its input parts and layer outputs into,
-so none copies.
+:func:`concat_channels` node, a view of the buffer its caller wrote the
+parts into (in the network, the one a dense block writes its input parts
+and layer outputs into), so none copies.
 
 Layout conventions:
   activations  (n, c, h, w)
@@ -51,10 +53,6 @@ import numpy as np
 from .data import IGNORE_INDEX
 from .errors import ConfigError, DataError
 from .tensor import Tensor
-
-
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _check_rank4(op, **tensors):
@@ -346,7 +344,6 @@ def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
     :func:`_correlate_gx`). The crossover table sits beside
     ``_SLICE_MAX_CO``.
     """
-    x, w = as_tensor(x), as_tensor(w)
     _check_rank4("conv2d", input=x, weight=w)
     if stride < 1 or dilation < 1 or pad < 0:
         raise ConfigError(
@@ -369,7 +366,6 @@ def conv2d(x, w, b=None, stride=1, pad=0, dilation=1):
     out, cols = _correlate(x.data, w.data, stride, pad, dilation)
     parents = [x, w]
     if b is not None:
-        b = as_tensor(b)
         if b.data.shape != (co,):
             raise ConfigError(
                 f"conv2d: bias shape {b.data.shape} != ({co},)"
@@ -407,7 +403,6 @@ def deconv2d(x, w, stride=2, pad=1):
       kernel): :func:`_correlate_gx`, which for a stride above 1 is one
       GEMM to a patch matrix scattered onto the padded output by col2im.
     """
-    x, w = as_tensor(x), as_tensor(w)
     _check_rank4("deconv2d", input=x, weight=w)
     if stride < 1 or pad < 0:
         raise ConfigError(f"deconv2d: invalid attrs stride={stride} pad={pad}")
@@ -447,7 +442,6 @@ def maxpool2d(x, kernel=2, stride=None, pad=0):
     window routed to its first NaN. Backward pools ``x`` again for the
     maxima, so the node keeps neither them nor an index array.
     """
-    x = as_tensor(x)
     _check_rank4("maxpool2d", input=x)
     s = kernel if stride is None else stride
     if s < 1 or not 0 <= pad < kernel:
@@ -522,7 +516,6 @@ def resize_matrix(src, dst, dtype=np.float64):
 
 def bilinear_resize(x, out_h, out_w):
     """Bilinear interpolation to (out_h, out_w); linear in x."""
-    x = as_tensor(x)
     if out_h < 1 or out_w < 1:
         raise ConfigError(f"bilinear_resize: bad target size {out_h}x{out_w}")
     n, c, h, w = x.shape
@@ -575,7 +568,6 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training):
     ``x`` with the forward's own expressions, so it is bitwise the value
     the forward normalized with.
     """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     _check_rank4("batch_norm", input=x)
     n, c, h, w = x.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
@@ -626,7 +618,6 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training):
 def relu(x):
     """max(x, 0); backward passes ``g`` where ``x > 0``, read from the
     parent rather than a kept mask."""
-    x = as_tensor(x)
     # np.maximum rather than where(mask, ...): NaN must stay NaN so a
     # diverged run is caught instead of silently zeroed
     out = np.maximum(x.data, x.data.dtype.type(0))
@@ -639,7 +630,6 @@ def relu(x):
 
 def dropout(x, keep_prob, training, rng=None):
     """Inverted dropout: train-time survivors scale by 1/keep_prob."""
-    x = as_tensor(x)
     if not 0.0 < keep_prob <= 1.0:
         raise ConfigError(f"dropout: keep_prob {keep_prob} not in (0, 1]")
     if not training or keep_prob == 1.0:
@@ -668,38 +658,22 @@ def _split_channels(widths):
     return backward_fn
 
 
-def concat_channels(xs, buf=None):
-    """The channel concatenation of ``xs`` as one node; backward slices
-    the gradient back into parts.
+def concat_channels(xs, buf):
+    """The channel concatenation of ``xs`` as one node over the buffer
+    its caller filled; backward slices the gradient back into parts.
 
-    Without ``buf`` the parts' batch and spatial sizes are checked and
-    the parts copied into a fresh array (one part is returned as it is).
-    With ``buf``, the caller has already written each part at its channel
-    offset, so nothing is checked or copied: the node's data is the view
+    The caller has already written each part at its channel offset of
+    ``buf``, so nothing is checked or copied: the node's data is the view
     ``buf[:, :c]`` of the parts' total width ``c``. Dense blocks grow one
     buffer this way instead of copying the running feature at every
     layer.
     """
-    if buf is None:
-        xs = [as_tensor(t) for t in xs]
-        if not xs:
-            raise ConfigError("concat_channels: empty input list")
-        base = xs[0].shape
-        for t in xs[1:]:
-            if (t.shape[0],) + t.shape[2:] != (base[0],) + base[2:]:
-                raise ConfigError(
-                    f"concat_channels: shape {t.shape} incompatible with "
-                    f"{base} (batch/height/width must match)")
-        if len(xs) == 1:
-            return xs[0]
-        buf = np.concatenate([t.data for t in xs], axis=1)
     widths = [t.shape[1] for t in xs]
     return Tensor(buf[:, :sum(widths)], xs, _split_channels(widths),
                   op="concat")
 
 
 def eltwise_add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ConfigError(f"eltwise_add: shapes {a.shape} != {b.shape}")
 
@@ -770,7 +744,6 @@ def softmax_ce_loss(logits, targets):
     zero gradient. The node keeps the log-probabilities of its forward,
     and backward starts from their exponential.
     """
-    logits = as_tensor(logits)
     n, c, h, w = logits.shape
     if targets.valid.shape != (n, h, w) or targets.num_classes != c:
         raise DataError(

@@ -22,7 +22,7 @@ from stackseg.network import (
     mini_config,
 )
 from stackseg.ops import conv2d, deconv2d, maxpool2d
-from stackseg.tensor import Param
+from stackseg.tensor import Param, Tensor
 
 MINI_TOTALS = {1: 86_081, 2: 214_546, 3: 343_011}
 
@@ -138,7 +138,7 @@ def test_footprint_matches_live_network_probe():
     w_up = Param(np.ones((1, 1, 4, 4), dtype=np.float32), name="wu")
 
     def run(x):
-        t = conv2d(x, w_down.as_tensor(), stride=2, pad=1)
+        t = conv2d(Tensor(x), w_down.as_tensor(), stride=2, pad=1)
         t = maxpool2d(t, kernel=2)
         return deconv2d(t, w_up.as_tensor(), stride=2, pad=1).data[0, 0]
 

@@ -3,6 +3,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 from pathlib import Path
 
@@ -85,7 +86,7 @@ def test_infer_ms_flip(workspace):
     preds = workspace / "preds_ms"
     assert run(["infer", "--weights", str(workspace / "net.sdnw"),
                 "--data", str(workspace / "data" / "manifest.txt"),
-                "--out", str(preds), "--ms-flip", "--scales", "0.5,1.0"]) == 0
+                "--out", str(preds), "--ms-flip", "0.5,1.0"]) == 0
     assert len(list(preds.iterdir())) == 6
 
 
@@ -175,13 +176,25 @@ def test_negative_seed_exits_1(workspace, tmp_path, capsys, command):
 
 def test_analyze_sweep_and_check_built(capsys):
     assert run(["analyze", "--profile", "mini", "--units", "2",
-                "--classes", "3", "--sweep", "3", "--check-built"]) == 0
+                "--classes", "3", "--sweep", "3"]) == 0
     out = capsys.readouterr().out
     assert "params_total=214546" in out
     assert "depth=34" in out
     assert "sweep.units3.params_total=343011" in out
     assert "sweep.unit_delta_constant=true" in out
     assert "built_matches_closed_form=true" in out
+
+
+def test_analyze_exits_1_when_the_built_network_differs(monkeypatch, capsys):
+    real = cli.count_network_params
+
+    def off_by_one(net):
+        counts = real(net)
+        return {**counts, "heads": counts["heads"] + 1}
+
+    monkeypatch.setattr(cli, "count_network_params", off_by_one)
+    assert run(ANALYZE_ARGV) == 1
+    assert "built_matches_closed_form=false" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag,value", [("--units", "0"), ("--classes", "1")])
@@ -334,7 +347,7 @@ def _infer(weights, data, out, *flags):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("flags", [(), ("--ms-flip", "--scales", "0.5,1.0")],
+@pytest.mark.parametrize("flags", [(), ("--ms-flip", "0.5,1.0")],
                          ids=["plain", "ms_flip"])
 def test_infer_reads_checkpoint_with_legacy_config(workspace, tmp_path,
                                                    flags):
@@ -406,8 +419,7 @@ def test_infer_checks_config_against_tensors(workspace, tmp_path, capsys,
 def test_infer_rejects_bad_scales(workspace, tmp_path, capsys, scales):
     assert run(["infer", "--weights", str(workspace / "net.sdnw"),
                 "--data", str(workspace / "data" / "manifest.txt"),
-                "--out", str(tmp_path / "p"), "--ms-flip",
-                "--scales", scales]) == 1
+                "--out", str(tmp_path / "p"), "--ms-flip", scales]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "scales" in err
     assert not (tmp_path / "p").exists()
@@ -419,9 +431,10 @@ def test_parser_defaults_are_the_library_defaults():
     lib = TrainConfig()
     assert (args.lr, args.batch, args.crop, args.iters, args.log_every) == \
         (lib.base_lr, lib.batch_size, lib.crop, lib.max_iter, lib.log_every)
-    args = parser.parse_args(["infer", "--weights", "w", "--data", "m",
-                              "--out", "o", "--ms-flip"])
-    assert tuple(map(float, args.scales.split(","))) == MS_SCALES
+    infer = ["infer", "--weights", "w", "--data", "m", "--out", "o"]
+    assert parser.parse_args(infer).ms_flip is None
+    args = parser.parse_args(infer + ["--ms-flip"])
+    assert tuple(map(float, args.ms_flip.split(","))) == MS_SCALES
     assert predict_ms_flip.__defaults__[0] is MS_SCALES
 
 
@@ -451,7 +464,6 @@ def test_console_script_installed():
     The entry point is run from source in a fresh interpreter, the way an
     installed wrapper calls it, so no install is needed. If a ``stackseg``
     executable is on PATH as well, it must give the same output."""
-    tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as f:
         scripts = tomllib.load(f).get("project", {}).get("scripts", {})

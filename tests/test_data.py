@@ -125,7 +125,7 @@ def test_pnm_size_bounded_by_file(tmp_path, blob, hint):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 64 << 10
 
 
 # ---------------------------------------------------------------------------

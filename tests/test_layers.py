@@ -62,9 +62,11 @@ def test_batch_norm_layer_param_and_buffer_names():
     assert bn.running_mean.max() > 0  # stats moved off their init
     # the layer is batch_norm then relu, in that order, nothing else
     assert out.op == "relu" and out.parents[0].op == "batch_norm"
-    want = relu(batch_norm(x.astype(np.float32), np.ones(5, np.float32),
-                           np.zeros(5, np.float32), np.zeros(5, np.float32),
-                           np.ones(5, np.float32), training=True))
+    want = relu(batch_norm(Tensor(x.astype(np.float32)),
+                           Tensor(np.ones(5, np.float32)),
+                           Tensor(np.zeros(5, np.float32)),
+                           np.zeros(5, np.float32), np.ones(5, np.float32),
+                           training=True))
     assert np.array_equal(out.data, want.data)
 
 
@@ -123,13 +125,19 @@ def test_dense_block_growth(bottleneck):
         DenseBlock("bad", 10, 0, 4, init)
 
 
+def copy_concat(parts):
+    """A concatenation into a fresh buffer of its own."""
+    return concat_channels(parts, np.concatenate([t.data for t in parts],
+                                                 axis=1))
+
+
 def concat_block(block, x, training, rng):
-    """The dense block written with a full concat per layer."""
+    """The dense block written with a full copy per layer."""
     for steps in block.layers:
         h = x
         for step in steps:
             h = step(h, training, rng)
-        x = concat_channels([x, h])
+        x = copy_concat([x, h])
     return x
 
 
@@ -159,8 +167,8 @@ def test_dense_block_shares_one_buffer_and_equals_plain_concat(bottleneck):
                            for t in concats)
                 shared = out.data
             else:
-                out = concat_block(block, concat_channels(parts), True,
-                                   np.random.default_rng(12))
+                x = copy_concat(parts) if len(parts) > 1 else parts[0]
+                out = concat_block(block, x, True, np.random.default_rng(12))
                 np.testing.assert_array_equal(out.data, shared)  # bitwise
             for p in block.params():
                 p.grad = None

@@ -487,6 +487,21 @@ def test_load_holds_one_copy_of_the_weights(tmp_path):
     assert _state_hash(net.state_dict()) == _state_hash(state)
 
 
+def test_config_refuses_more_classes_than_8_bit_labels_hold(tmp_path):
+    """255 marks ignored pixels in a label map, so a 256th class could
+    only be written as "ignore"."""
+    with pytest.raises(ConfigError, match="256-class"):
+        NetworkConfig(256, 1, PROFILES["mini"]).validate()
+    StackedNet(mini_config(255))  # the largest that fits still builds
+    state = StackedNet(mini_config(3)).state_dict()
+    for name in [n for n in state if ".head" in n]:
+        state[name] = np.zeros((256, *state[name].shape[1:]), np.float32)
+    path = tmp_path / "w.sdnw"
+    save_weights(path, state)
+    with pytest.raises(DataError, match="256-class"):
+        StackedNet.load(path)
+
+
 def test_load_refuses_a_file_whose_names_do_not_match(tmp_path):
     state = StackedNet(mini_config(3, num_units=2), seed=1).state_dict()
     state["entry.bogus"] = state.pop("entry.b")
