@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .network import DOWN_LAYERS, SKIP_BLOCKS, UP_LAYERS
+from .network import DOWN_LAYERS, PROFILES, SKIP_BLOCKS, UP_LAYERS
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,7 @@ def receptive_field(chain):
 
 
 def architecture_report(cfg):
-    cfg.validate()
-    prof = cfg.profile
+    prof = PROFILES[cfg.profile]
     enc_params, enc_out, enc_skips, enc_depth, chain = \
         encoder_accounting(prof)
     sw, ew, g = prof.skip_width, prof.entry_width, prof.growth

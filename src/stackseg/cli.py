@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from itertools import chain
 
 from . import gradcheck
@@ -36,7 +37,7 @@ def _parse_csv(text, kind, what):
 
 
 def _num_classes(args, meta):
-    value = getattr(args, "classes", None) or meta.get("num_classes")
+    value = meta.get("num_classes") if args.classes is None else args.classes
     if value is None:
         raise DataError("number of classes unknown: pass --classes or add "
                         "'num_classes = N' to the manifest")
@@ -76,11 +77,9 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    meta, samples = load_samples(args.data)
-    classes = _num_classes(args, meta)
-    ratios = _parse_csv(args.supervision, int, "supervision ratios")
-    cfg = NetworkConfig(classes, args.units, PROFILES[args.profile], ratios)
-    net = StackedNet(cfg, seed=args.seed)
+    # a rejected setting touches no file: the schedule and the weights path
+    # are checked before the dataset is read, the network before the log
+    # is opened
     tcfg = TrainConfig(base_lr=args.lr, batch_size=args.batch, crop=args.crop,
                        max_iter=args.iters, seed=args.seed,
                        log_every=args.log_every)
@@ -88,13 +87,15 @@ def cmd_train(args):
     # creating a file takes write and search permission on its directory
     if os.path.isdir(args.out) or not os.access(out_dir, os.W_OK | os.X_OK):
         raise DataError(f"cannot write weights to {args.out}")
-    sink = open(args.log, "w") if args.log else None
-    try:
-        log_fn = (lambda row: print(row, file=sink, flush=True)) if sink else print
-        history = train(net, samples, tcfg, log_fn=log_fn)
-    finally:
-        if sink:
-            sink.close()
+    meta, samples = load_samples(args.data)
+    classes = _num_classes(args, meta)
+    ratios = _parse_csv(args.supervision, int, "supervision ratios")
+    net = StackedNet(NetworkConfig(classes, args.units, args.profile, ratios),
+                     seed=args.seed)
+    log = open(args.log, "w") if args.log else nullcontext(sys.stdout)
+    with log as sink:
+        history = train(net, samples, tcfg,
+                        log_fn=lambda row: print(row, file=sink, flush=True))
     save_weights(args.out, net.state_dict())
     print(f"final total_loss={history[-1]['total_loss']:.6g} over "
           f"{len(history)} iterations; weights -> {args.out}")
@@ -136,8 +137,7 @@ def cmd_eval(args):
 
 
 def cmd_analyze(args):
-    profile = PROFILES[args.profile]
-    cfg = NetworkConfig(args.classes, args.units, profile)
+    cfg = NetworkConfig(args.classes, args.units, args.profile)
     report = architecture_report(cfg)
     print(f"profile={args.profile} classes={args.classes} units={args.units}")
     print(format_report(report))
@@ -146,8 +146,8 @@ def cmd_analyze(args):
     print(f"built_matches_closed_form={str(match).lower()}")
     status = 0 if match else 1
     if args.sweep > 1:
-        totals = [architecture_report(NetworkConfig(args.classes, u,
-                                                    profile)).params_total
+        totals = [architecture_report(NetworkConfig(
+                      args.classes, u, args.profile)).params_total
                   for u in range(1, args.sweep + 1)]
         deltas = [b - a for a, b in zip(totals, totals[1:])]
         for u, total in enumerate(totals, 1):
@@ -195,7 +195,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="weights output path")
     p.add_argument("--profile", choices=sorted(PROFILES), default="mini")
     p.add_argument("--units", type=int, default=2)
-    p.add_argument("--classes", type=int, default=0,
+    p.add_argument("--classes", type=int,
                    help="overrides the manifest's num_classes")
     p.add_argument("--supervision", default="16,8,4",
                    help="comma-separated score ratios")
@@ -221,7 +221,7 @@ def build_parser():
     p = sub.add_parser("eval", help="score predictions against labels")
     p.add_argument("--data", required=True, help="manifest with labels")
     p.add_argument("--pred", required=True, help="directory of *_pred.pgm")
-    p.add_argument("--classes", type=int, default=0)
+    p.add_argument("--classes", type=int)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="closed-form architecture accounting")

@@ -27,6 +27,7 @@ import math
 import os
 import re
 import stat
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -324,7 +325,15 @@ def load_samples(manifest_path):
 
 
 def save_dataset(directory, samples, meta):
-    """Write samples as PPM/PGM pairs plus a manifest; returns its path."""
+    """Write samples as PPM/PGM pairs plus a manifest; returns its path.
+
+    Files are named after ``Sample.name``, so samples that share a name
+    raise DataError before anything is written.
+    """
+    shared = [n for n, k in Counter(s.name for s in samples).items() if k > 1]
+    if shared:
+        raise DataError(f"two samples share the name {shared[0]!r}; their "
+                        "files are named after it")
     os.makedirs(directory, exist_ok=True)
     rows = []
     for sample in samples:

@@ -75,12 +75,17 @@ PROFILES = {
 
 @dataclass(frozen=True)
 class NetworkConfig:
+    """What may vary around a profile, named by its ``PROFILES`` key.
+
+    Every field is checked as the config is built, so any config that
+    exists is valid, and ``dataclasses.replace`` checks its copy again.
+    """
     num_classes: int
     num_units: int
-    profile: Profile
+    profile: str
     supervision_ratios: tuple = (16, 8, 4)
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigError(f"num_classes={self.num_classes}, need >= 2")
         # label maps are 8-bit, and IGNORE_INDEX marks ignored pixels
@@ -98,20 +103,19 @@ class NetworkConfig:
         if 4 not in ratios:
             raise ConfigError("supervision_ratios must include 4: the final "
                               "prediction reads the fused ratio-4 map")
-        # config_from_state reads only the stem width back, so any other
-        # profile would write checkpoints that cannot be loaded
-        if self.profile not in PROFILES.values():
-            raise ConfigError("profile matches no entry of PROFILES")
+        # config_from_state reads only the stem width back, so a profile
+        # outside the table would write checkpoints that cannot be loaded
+        if self.profile not in PROFILES:
+            raise ConfigError(f"profile {self.profile!r} is not a key of "
+                              f"PROFILES {sorted(PROFILES)}")
 
 
 def mini_config(num_classes, num_units=1, supervision_ratios=(16, 8, 4)):
-    return NetworkConfig(num_classes, num_units, PROFILES["mini"],
-                         supervision_ratios)
+    return NetworkConfig(num_classes, num_units, "mini", supervision_ratios)
 
 
 def full_config(num_classes, num_units=1, supervision_ratios=(16, 8, 4)):
-    return NetworkConfig(num_classes, num_units, PROFILES["full"],
-                         supervision_ratios)
+    return NetworkConfig(num_classes, num_units, "full", supervision_ratios)
 
 
 class DenseEncoder(Module):
@@ -248,11 +252,10 @@ class StackedNet(Module):
     """See the module docstring for the wiring story."""
 
     def __init__(self, config, seed=0):
-        config.validate()
         if seed < 0:
             raise ConfigError(f"seed {seed} must be >= 0")
         self.config = config
-        p = config.profile
+        p = PROFILES[config.profile]
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         init = WeightStream(rng)
         self.encoder = DenseEncoder("encoder", p, init)
@@ -452,7 +455,7 @@ def config_from_state(state):
     """
     stem = state.get("encoder.stem.w")
     width = stem.shape[0] if stem is not None and stem.ndim else None
-    profile = next((p for p in PROFILES.values()
+    profile = next((name for name, p in PROFILES.items()
                     if p.stem_channels == width), None)
     if profile is None:
         raise DataError(f"encoder.stem.w width {width} matches no profile")
@@ -470,11 +473,11 @@ def config_from_state(state):
         raise DataError("score heads missing or unlike across units")
     from .analyzer import architecture_report  # it imports this module
 
-    cfg = NetworkConfig(classes.pop(), units, profile, ratios)
     try:
-        expected = architecture_report(cfg).params_total
+        cfg = NetworkConfig(classes.pop(), units, profile, ratios)
     except ConfigError as e:
         raise DataError(f"stored tensors describe no valid network: {e}")
+    expected = architecture_report(cfg).params_total
     stored = sum(v.size for name, v in state.items()
                  if not name.endswith((".running_mean", ".running_var")))
     if expected != stored:

@@ -45,7 +45,7 @@ Stride, padding and dilation are scalars, shared by both spatial axes.
 from __future__ import annotations
 
 import functools
-from itertools import product
+from itertools import accumulate, product
 from typing import NamedTuple
 
 import numpy as np
@@ -647,17 +647,6 @@ def dropout(x, keep_prob, training, rng=None):
     return Tensor(out, (x,), backward_fn, op="dropout")
 
 
-def _split_channels(widths):
-    """Backward of a channel concatenation: ``g`` sliced back into parts."""
-    bounds = [0]
-    for width in widths:
-        bounds.append(bounds[-1] + width)
-
-    def backward_fn(g):
-        return tuple(g[:, a:b] for a, b in zip(bounds, bounds[1:]))
-    return backward_fn
-
-
 def concat_channels(xs, buf):
     """The channel concatenation of ``xs`` as one node over the buffer
     its caller filled; backward slices the gradient back into parts.
@@ -668,9 +657,12 @@ def concat_channels(xs, buf):
     buffer this way instead of copying the running feature at every
     layer.
     """
-    widths = [t.shape[1] for t in xs]
-    return Tensor(buf[:, :sum(widths)], xs, _split_channels(widths),
-                  op="concat")
+    bounds = [0, *accumulate(t.shape[1] for t in xs)]
+
+    def backward_fn(g):
+        return tuple(g[:, a:b] for a, b in zip(bounds, bounds[1:]))
+
+    return Tensor(buf[:, :bounds[-1]], xs, backward_fn, op="concat")
 
 
 def eltwise_add(a, b):

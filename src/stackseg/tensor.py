@@ -73,10 +73,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 

@@ -28,8 +28,10 @@ ASPECTS = (0.7, 0.85, 1.0, 1.15, 1.3)
 HFLIP_PROB = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings. Like NetworkConfig, each is checked as the
+    config is built, and the config is frozen, so none is set unchecked."""
     base_lr: float = 2.5e-4
     batch_size: int = 4
     crop: int = 64
@@ -37,7 +39,7 @@ class TrainConfig:
     seed: int = 0
     log_every: int = 10
 
-    def validate(self):
+    def __post_init__(self):
         if not (self.base_lr > 0 and math.isfinite(self.base_lr)):
             raise ConfigError(f"base_lr {self.base_lr} must be finite and > 0")
         if self.max_iter < 1 or self.batch_size < 1:
@@ -120,7 +122,6 @@ def train(net, samples, cfg, log_fn=None):
     Log rows are ``iter<TAB>lr<TAB>total_loss<TAB>name=value,...`` with
     one name=value per supervision head.
     """
-    cfg.validate()
     if not samples:
         raise DataError("no training samples")
     for s in samples:

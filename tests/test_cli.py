@@ -298,6 +298,42 @@ def test_huge_classes_flag_exits_1(workspace, tmp_path, capsys):
     assert err.startswith("error:") and "num_classes" in err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_classes_flag_of_zero_is_refused(workspace, tmp_path, capsys,
+                                         command):
+    # --classes 0 used to fall back to the manifest's count
+    argv = {"train": ["--out", str(tmp_path / "w.sdnw"), "--iters", "1"],
+            "eval": ["--pred", str(tmp_path)]}[command]
+    assert run([command, "--data", str(workspace / "data" / "manifest.txt"),
+                "--classes", "0"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "num_classes" in err
+    assert not (tmp_path / "w.sdnw").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--crop", "30"), ("--iters", "0"), ("--lr", "nan"), ("--batch", "0"),
+    ("--log-every", "0"),
+])
+def test_rejected_training_settings_touch_no_file(workspace, tmp_path,
+                                                  monkeypatch, capsys, flag,
+                                                  value):
+    # these used to be checked only after the whole dataset was read and
+    # the log truncated
+    loads = []
+    monkeypatch.setattr(cli, "load_samples",
+                        lambda *a: loads.append(a) or load_samples(*a))
+    log = tmp_path / "run.log"
+    log.write_bytes(b"an earlier run's rows\n")
+    assert run(["train", "--data", str(workspace / "data" / "manifest.txt"),
+                "--out", str(tmp_path / "w.sdnw"), "--log", str(log),
+                flag, value]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert log.read_bytes() == b"an earlier run's rows\n"
+    assert loads == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.log"]
+
+
 @pytest.mark.parametrize("command", ["infer", "eval"])
 def test_repeated_sample_name_exits_1(workspace, tmp_path, capsys, command):
     """a/x.ppm and b/x.ppm would share one x_pred.pgm: infer used to keep

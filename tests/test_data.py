@@ -194,6 +194,15 @@ def test_dataset_save_and_load(tmp_path):
         assert np.abs(got.image - want.image).max() <= 0.5 / 255 + 1e-6
 
 
+def test_save_dataset_refuses_samples_that_share_a_name(tmp_path):
+    # the second used to overwrite the first, listed twice in the manifest
+    a, b = synth_dataset(2, size=16, seed=4)
+    twin = Sample(b.image, b.labels, a.name)
+    with pytest.raises(DataError, match=repr(a.name)):
+        save_dataset(tmp_path / "ds", [a, twin], {"num_classes": "3"})
+    assert not (tmp_path / "ds").exists()
+
+
 def test_load_samples_checks_sizes(tmp_path):
     write_ppm(tmp_path / "a.ppm", np.zeros((3, 8, 8), dtype=np.float32))
     write_pgm(tmp_path / "a.pgm", np.zeros((4, 8), dtype=np.int64))

@@ -37,38 +37,30 @@ def small_input(n=1, size=64, seed=0):
 
 
 def test_config_validation():
+    # a config checks itself as it is built, so no invalid one exists
     with pytest.raises(ConfigError):
-        mini_config(1).validate()
+        mini_config(1)
     with pytest.raises(ConfigError):
-        mini_config(3, num_units=0).validate()
+        mini_config(3, num_units=0)
     with pytest.raises(ConfigError):
-        mini_config(3, supervision_ratios=(8,)).validate()  # no final map
+        mini_config(3, supervision_ratios=(8,))  # no final map
     with pytest.raises(ConfigError):
-        mini_config(3, supervision_ratios=(4, 4)).validate()
-    mini_config(3, num_units=3).validate()  # fine
+        mini_config(3, supervision_ratios=(4, 4))
+    cfg = mini_config(3, num_units=3)  # fine
+    with pytest.raises(ConfigError, match="num_units"):
+        dataclasses.replace(cfg, num_units=0)
     with pytest.raises(ConfigError, match="seed"):
         StackedNet(mini_config(3), seed=-1)
 
 
-@pytest.mark.parametrize("field,value", [
-    ("growth", 4), ("down_widths", (24, 24)), ("up_widths", (16, 16)),
-    ("skip_width", 8),
-])
-def test_config_rejects_widths_off_the_encoder_profile(field, value):
-    # every width takes part in the table lookup
-    for make in (mini_config, full_config):
-        cfg = make(3)
-        odd = dataclasses.replace(cfg.profile, **{field: value})
-        with pytest.raises(ConfigError, match="PROFILES"):
-            dataclasses.replace(cfg, profile=odd).validate()
-
-
-def test_config_off_the_profile_is_refused_before_it_can_save():
-    # such a network would write a checkpoint config_from_state rejects
-    assert NetworkConfig(3, 1, PROFILES["mini"]) == mini_config(3)
+def test_config_names_a_profile_of_the_table():
+    # config_from_state finds a profile again by its stem width alone, so
+    # a config holds a key of the table, never a Profile of its own
+    assert NetworkConfig(3, 1, "mini") == mini_config(3)
     odd = dataclasses.replace(PROFILES["mini"], growth=4)
-    with pytest.raises(ConfigError, match="PROFILES"):
-        StackedNet(NetworkConfig(3, 1, odd))
+    for profile in ("tiny", odd, PROFILES["mini"]):
+        with pytest.raises(ConfigError, match="PROFILES"):
+            NetworkConfig(3, 1, profile)
 
 
 def test_forward_map_shapes_and_ratios():
@@ -147,7 +139,7 @@ def test_the_api_perfbench_calls():
     # perfbench/ is outside the Tier-1 run, so a changed signature would
     # break the benchmark without failing a test here
     assert mini_config(3, num_units=2).num_units == 2
-    full_config(3, num_units=1).validate()
+    assert full_config(3, num_units=1).profile == "full"
     net = StackedNet(mini_config(3, num_units=2), seed=0)
     labels = np.random.default_rng(1).integers(0, 3, size=(1, 64, 64))
     named = net.losses(net.forward(small_input()), labels, 255)
@@ -491,7 +483,7 @@ def test_config_refuses_more_classes_than_8_bit_labels_hold(tmp_path):
     """255 marks ignored pixels in a label map, so a 256th class could
     only be written as "ignore"."""
     with pytest.raises(ConfigError, match="256-class"):
-        NetworkConfig(256, 1, PROFILES["mini"]).validate()
+        NetworkConfig(256, 1, "mini")
     StackedNet(mini_config(255))  # the largest that fits still builds
     state = StackedNet(mini_config(3)).state_dict()
     for name in [n for n in state if ".head" in n]:
@@ -541,11 +533,10 @@ def test_config_from_state_inverts_state_dict(make, units, ratios):
 
 
 def test_full_profile_config_builds_report_sizes():
-    cfg = full_config(21, num_units=2)
-    cfg.validate()
-    assert cfg.profile.bottleneck
-    assert cfg.profile.down_widths == (768, 1024)
-    assert cfg.profile.up_widths == (768, 576)
+    profile = PROFILES[full_config(21, num_units=2).profile]
+    assert profile.bottleneck
+    assert profile.down_widths == (768, 1024)
+    assert profile.up_widths == (768, 576)
 
 
 def test_ms_flip_skips_tiny_scales_and_predicts():

@@ -21,7 +21,7 @@ def to_scalar(t):
 def test_tensor_basics():
     t = Tensor(np.zeros((2, 3, 4, 5), dtype=np.float32))
     assert t.shape == (2, 3, 4, 5)
-    assert t.dtype == np.float32
+    assert t.data.dtype == np.float32
     assert t.parents == ()
     assert "leaf" in repr(t)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -155,17 +156,22 @@ def test_augment_keeps_uint8_labels_and_pads_them_with_ignore(recipe):
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(crop=30).validate()
+        TrainConfig(crop=30)
     with pytest.raises(ConfigError):
-        TrainConfig(max_iter=0).validate()
+        TrainConfig(max_iter=0)
     for lr in (float("nan"), float("inf"), 0.0, -1e-3):
         with pytest.raises(ConfigError, match="base_lr"):
-            TrainConfig(base_lr=lr).validate()
+            TrainConfig(base_lr=lr)
     for crop in (0, -16):
         with pytest.raises(ConfigError, match="crop"):
-            TrainConfig(crop=crop).validate()
+            TrainConfig(crop=crop)
     with pytest.raises(ConfigError, match="seed"):
-        TrainConfig(seed=-1).validate()
+        TrainConfig(seed=-1)
+    # frozen, so a value set later cannot skip the checks
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CROP32.max_iter = 0
+    with pytest.raises(ConfigError, match="log_every"):
+        dataclasses.replace(CROP32, log_every=0)
 
 
 # ---------------------------------------------------------------------------
