@@ -57,10 +57,30 @@ def test_config_names_a_profile_of_the_table():
     # config_from_state finds a profile again by its stem width alone, so
     # a config holds a key of the table, never a Profile of its own
     assert NetworkConfig(3, 1, "mini") == mini_config(3)
-    odd = dataclasses.replace(PROFILES["mini"], growth=4)
-    for profile in ("tiny", odd, PROFILES["mini"]):
+    for profile in ("tiny", PROFILES["mini"]):
         with pytest.raises(ConfigError, match="PROFILES"):
             NetworkConfig(3, 1, profile)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("growth", 4), ("down_widths", (24, 24)), ("up_widths", (16, 16)),
+    ("skip_width", 8),
+])
+def test_config_rejects_widths_off_the_encoder_profile(field, value):
+    # every width takes part in the table lookup
+    for make in (mini_config, full_config):
+        cfg = make(3)
+        odd = dataclasses.replace(PROFILES[cfg.profile], **{field: value})
+        with pytest.raises(ConfigError, match="PROFILES"):
+            dataclasses.replace(cfg, profile=odd)
+
+
+def test_config_off_the_profile_is_refused_before_it_can_save():
+    # such a network would write a checkpoint config_from_state rejects,
+    # so the config itself is refused and no StackedNet can be built
+    odd = dataclasses.replace(PROFILES["mini"], growth=4)
+    with pytest.raises(ConfigError, match="PROFILES"):
+        StackedNet(NetworkConfig(3, 1, odd))
 
 
 def test_forward_map_shapes_and_ratios():
